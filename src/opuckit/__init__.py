@@ -2,10 +2,10 @@
 
 Core objects: positive chain sequences (chain), the bijection between
 (c_n, m_n) pairs and reflection coefficients (bijection), the coupled
-polynomial recurrences (polynomials), certified zero ladders (zeros), discrete
-approximating measures (measure), spectral analysis of periodic coefficients
-(periodic), measure symmetries (transforms), and the closed-form two-periodic
-model family (period_two).
+polynomial recurrences (polynomials), finite unitary CMV matrices (cmv), zero
+ladders (zeros), discrete approximating measures (measure), spectral analysis
+of periodic coefficients (periodic), measure symmetries (transforms), and the
+closed-form two-periodic model family (period_two).
 """
 
 from . import errors

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chain import ChainSequence, d_from_minimal
+from .chain import ChainSequence, _check_finite, d_from_minimal
 from .errors import DegenerateDenominator, InvalidParameters
 
 __all__ = [
@@ -48,6 +48,7 @@ class SequencePair:
             raise InvalidParameters(
                 f"c has length {len(self.c)}, d has length {len(self.chain.d)}"
             )
+        _check_finite(self.c, "c")
         if self.tail_period is not None:
             p = self.tail_period
             if not (isinstance(p, int) and 1 <= p <= len(self.c)):

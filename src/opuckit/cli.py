@@ -80,7 +80,7 @@ def _resolve_n(args, pair) -> int:
 
 
 def _check_tol(args) -> None:
-    if getattr(args, "tol", None) is not None and not args.tol > 0.0:
+    if args.tol is not None and not args.tol > 0.0:
         raise InvalidParameters(f"tolerance {args.tol!r} must be positive")
 
 
@@ -146,11 +146,9 @@ def cmd_zeros(args) -> int:
 
 
 def cmd_quadrature(args) -> int:
-    _check_tol(args)
     pair = _load_pair(args)
     n = _resolve_n(args, pair)
-    kwargs = {} if args.tol is None else {"tol": args.tol}
-    meas = quadrature(pair, n, **kwargs)
+    meas = quadrature(pair, n)
     payload = {
         "meta": _meta("quadrature"),
         "n": n,
@@ -173,13 +171,11 @@ def cmd_quadrature(args) -> int:
 
 
 def cmd_cdf(args) -> int:
-    _check_tol(args)
     pair = _load_pair(args)
     n = _resolve_n(args, pair)
     if args.grid < 2:
         raise InvalidParameters("--grid must be >= 2")
-    kwargs = {} if args.tol is None else {"tol": args.tol}
-    meas = quadrature(pair, n, **kwargs)
+    meas = quadrature(pair, n)
     theta = np.linspace(0.0, TWO_PI, args.grid + 1)
     psi = step_eval(meas, theta)
     _emit_json(
@@ -418,16 +414,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p, csv_ok=False)
     p.set_defaults(fn=cmd_alpha2pair)
 
-    p = sub.add_parser("zeros", help="certified zeros of the cosine-form polynomial ladder")
+    p = sub.add_parser("zeros", help="zeros of every level of the cosine-form polynomial ladder")
     _add_io(p, csv_ok=True)
     p.add_argument("--n", type=int, default=None, help="ladder depth (default: input length)")
-    p.add_argument("--tol", type=float, default=None, help="bracketing tolerance")
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=None,
+        help="warn (ClusterWarning) where two zeros of a level lie closer than 10 TOL in x",
+    )
     p.set_defaults(fn=cmd_zeros)
 
     p = sub.add_parser("quadrature", help="nodes and weights of the discrete approximant")
     _add_io(p, csv_ok=True)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--moments", type=int, default=None, help="also report moments 0..K")
     p.set_defaults(fn=cmd_quadrature)
 
@@ -435,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p, csv_ok=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--grid", type=int, default=512, help="number of grid cells on [0, 2 pi]")
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(fn=cmd_cdf)
 
     p = sub.add_parser("poly", help="coefficient tables of the paired polynomial ladder")

@@ -1,0 +1,76 @@
+"""Finite unitary CMV matrices and the para-orthogonal spectra they carry.
+
+alpha_0..alpha_{k-1}, closed with a unimodular alpha_k = beta, give the
+(k+1)x(k+1) unitary CMV matrix C = L M (Cantero-Moral-Velazquez, LAA 362
+(2003); Simon, OPUC vol. 1 sections 4.1-4.2), where
+
+    Theta_j = [[conj(alpha_j), rho_j], [rho_j, -alpha_j]],  rho_j = sqrt(1 - |alpha_j|^2),
+    L = Theta_0 + Theta_2 + ...,   M = 1 + Theta_1 + Theta_3 + ...   (direct sums),
+
+with the block of alpha_k cut to the 1x1 conj(beta).  The eigenvalues of C
+are the zeros of the para-orthogonal polynomial z phi_k - conj(beta) phi_k*,
+and the spectral measure of e_0 puts the mass |Z[0, j]|^2 on the j-th of them
+(Gauss-Szego quadrature; C is normal, so its Schur vectors Z are its
+eigenvectors).  The bijection's beta = conj(tau_k) makes z = 1 one eigenvalue
+and the k zeros of R_k the others.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+__all__ = ["cmv_matrix", "para_orthogonal_angles", "gauss_szego"]
+
+
+def _theta_sum(a: np.ndarray, rho: np.ndarray, first: int) -> np.ndarray:
+    """Direct sum of the Theta_j with j = first, first + 2, ... (and a leading 1 if first = 1)."""
+    size = a.size
+    out = np.zeros((size, size), dtype=complex)
+    if first:
+        out[0, 0] = 1.0
+    j = np.arange(first, size, 2)
+    out[j, j] = np.conj(a[j])
+    j = j[j < size - 1]
+    out[j, j + 1] = rho[j]
+    out[j + 1, j] = rho[j]
+    out[j + 1, j + 1] = -a[j]
+    return out
+
+
+def cmv_matrix(alpha, beta: complex) -> np.ndarray:
+    """The (k+1)x(k+1) CMV matrix L M of alpha_0..alpha_{k-1} closed by |beta| = 1."""
+    a = np.append(np.asarray(alpha, dtype=complex), complex(beta))
+    r = np.abs(a[:-1])
+    rho = np.sqrt((1.0 - r) * (1.0 + r))
+    return _theta_sum(a, rho, 0) @ _theta_sum(a, rho, 1)
+
+
+def _split_at_one(z: np.ndarray):
+    """Index of the eigenvalue nearest z = 1; the angles in [0, 2 pi) of the
+    others, ascending, with their indices."""
+    j0 = int(np.argmin(np.abs(z - 1.0)))
+    rest = np.delete(np.arange(z.size), j0)
+    theta = np.mod(np.angle(z[rest]), 2.0 * math.pi)
+    order = np.argsort(theta)
+    return j0, theta[order], rest[order]
+
+
+def para_orthogonal_angles(alpha, beta: complex) -> np.ndarray:
+    """Ascending angles of the eigenvalues of C, less the one nearest z = 1."""
+    return _split_at_one(np.linalg.eigvals(cmv_matrix(alpha, beta)))[1]
+
+
+def gauss_szego(alpha, beta: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Angles and weights of the spectral measure of e_0 under C.
+
+    The eigenvalue nearest z = 1 comes first at angle exactly 0, then the
+    others with ascending angles; the weight of each is |Z[0, j]|^2.
+    """
+    from scipy.linalg import schur
+
+    t, z = schur(cmv_matrix(alpha, beta), output="complex")
+    j0, theta, rest = _split_at_one(np.diag(t))
+    w = np.abs(z[0]) ** 2
+    return np.concatenate([[0.0], theta]), np.concatenate([[w[j0]], w[rest]])

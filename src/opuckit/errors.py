@@ -57,17 +57,6 @@ class DegenerateDenominator(NumericsError):
     pass
 
 
-class BracketFailure(NumericsError):
-    """An interlacing bracket showed no sign change."""
-
-    def __init__(self, level: int, j: int, message: str = ""):
-        self.level = level
-        self.j = j
-        super().__init__(
-            f"no sign change in bracket {j} at level {level}" + (": " + message if message else "")
-        )
-
-
 class GapViolated(NumericsError):
     """A zero landed inside the forbidden interval implied by the sign pattern."""
 
@@ -78,10 +67,6 @@ class GapViolated(NumericsError):
         super().__init__(
             f"zero x = {x!r} at level {level} lies inside the excluded interval (+-{bound!r})"
         )
-
-
-class NodeAtOne(NumericsError):
-    """R_n(1) is numerically zero; the node z = 1 degenerates."""
 
 
 class NegativeWeight(NumericsError):

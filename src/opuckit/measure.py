@@ -1,9 +1,11 @@
 """Discrete approximating measures built on the para-orthogonal zeros.
 
-psi_n places mass lambda_{n,0} = 1 - Q_n(1)/R_n(1) at z = 1 and
-lambda_{n,j} = Q_n(z_j) / ((1 - z_j) R_n'(z_j)) at the n zeros of R_n; the
-weights are positive and sum to one.  The cumulative step function uses the
-left-open/right-closed branches
+psi_n is the Gauss-Szego rule of the (n+1)x(n+1) unitary CMV matrix of
+alpha_0..alpha_{n-1} closed with alpha_n = conj(tau_n) (see cmv): its nodes
+are z = 1 and the n zeros of R_n, and its weights lambda_{n,j} = |Z[0, j]|^2
+come from the Schur vectors Z of one complex Schur decomposition, so they are
+positive and sum to one up to rounding.  The cumulative step function uses
+the left-open/right-closed branches
 
     psi_n(0) = 0,   psi_n(theta) = sum_{j<=k} lambda_{n,j}
                     for theta in (theta_{n,k}, theta_{n,k+1}],
@@ -19,23 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bijection import SequencePair
-from .errors import (
-    InternalInvariant,
-    InvalidParameters,
-    NegativeWeight,
-    NodeAtOne,
-)
-from .polynomials import rq_eval
-from .zeros import DEFAULT_TOL, w_zeros
+from .bijection import SequencePair, pair_to_verblunsky
+from .cmv import gauss_szego
+from .errors import InternalInvariant, InvalidParameters, NegativeWeight
 
 __all__ = ["DiscreteMeasure", "quadrature", "moments", "step_eval"]
 
-# |W_n(1)| below this is treated as a degenerate node at z = 1
-_NODE_EPS_LOG2 = -830.0
-
-# tolerated round-off on quantities that are exactly real / exactly zero
-_IMAG_TOL = 1e-8
 _SUM_TOL = 1e-10
 
 
@@ -49,34 +40,19 @@ class DiscreteMeasure:
     weights: np.ndarray
 
 
-def quadrature(pair: SequencePair, n: int, tol: float = DEFAULT_TOL) -> DiscreteMeasure:
+def quadrature(pair: SequencePair, n: int) -> DiscreteMeasure:
     """Nodes and weights of psi_n; raises if positivity or normalization break."""
-    zs = w_zeros(pair, n, tol)
-    theta = np.concatenate([[0.0], zs.theta])
-    nodes = np.exp(1j * theta)
-    nodes[0] = 1.0 + 0.0j
-    vals = rq_eval(pair, n, nodes)
-    r_one = complex(vals.r[0])
-    if abs(r_one) == 0.0 or math.log2(abs(r_one)) + vals.exp2 - n < _NODE_EPS_LOG2:
-        raise NodeAtOne(f"|R_{n}(1)| ~ 2^{vals.exp2} * {abs(r_one)!r} is degenerate")
-    lam = np.empty(n + 1)
-    lam0 = 1.0 - vals.q[0] / r_one
-    rest = vals.q[1:] / ((1.0 - nodes[1:]) * vals.r_prime[1:])
-    imag_defect = max(abs(lam0.imag), float(np.max(np.abs(rest.imag))))
-    if imag_defect > _IMAG_TOL:
-        raise InternalInvariant(f"weights have imaginary defect {imag_defect!r}")
-    lam[0] = lam0.real
-    lam[1:] = rest.real
-    if lam[0] < -1e-12:
-        raise NegativeWeight(0, float(lam[0]))
-    lam[0] = max(lam[0], 0.0)
-    for j in range(1, n + 1):
-        if lam[j] <= 0.0:
-            raise NegativeWeight(j, float(lam[j]))
+    if not 1 <= n <= len(pair):
+        raise InvalidParameters(f"need 1 <= n <= {len(pair)}, got {n}")
+    vs = pair_to_verblunsky(pair)
+    theta, lam = gauss_szego(vs.alpha[:n], vs.tau[n].conjugate())
+    bad = np.flatnonzero(~(lam > 0.0))
+    if bad.size:
+        raise NegativeWeight(int(bad[0]), float(lam[bad[0]]))
     total = float(np.sum(lam))
-    if abs(total - 1.0) > _SUM_TOL:
+    if not abs(total - 1.0) <= _SUM_TOL:
         raise InternalInvariant(f"weights sum to {total!r}, not 1")
-    return DiscreteMeasure(n=n, theta=theta, nodes=nodes, weights=lam)
+    return DiscreteMeasure(n=n, theta=theta, nodes=np.exp(1j * theta), weights=lam)
 
 
 def moments(measure: DiscreteMeasure, k_max: int) -> np.ndarray:

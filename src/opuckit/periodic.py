@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .bijection import SequencePair
 from .errors import (
@@ -198,6 +196,8 @@ def _bisect_scalar(fun, lo, hi, flo, fhi, tol):
 
 
 def _refine_minimum(fun, lo, hi):
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda t: fun(t) ** 2, bounds=(lo, hi), method="bounded",
         options={"xatol": 1e-14},
@@ -734,6 +734,8 @@ def _weight_clamped(alpha, theta: float, kappa: float) -> float:
 
 def _band_integral(alpha, lo: float, hi: float, kappa: float) -> float:
     """Integral of the weight over one band, sqrt-substituted at both edges."""
+    from scipy.integrate import quad
+
     mid = 0.5 * (lo + hi)
 
     def from_lo(u):

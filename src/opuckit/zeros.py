@@ -1,11 +1,12 @@
-"""Certified zero ladders for the trigonometric family W_n.
+"""Zero ladders for the trigonometric family W_n.
 
-W_n has exactly n simple zeros in (-1, 1), and consecutive levels interlace
-strictly with +-1 as outer bounds.  The ladder exploits this: level k + 1 is
-bracketed by the level-k zeros plus the endpoints, every bracket is checked for
-a sign change (BracketFailure otherwise), bisected to width tol, and polished
-by one safeguarded secant step.  No polynomial root library is involved, so
-every zero comes with its certificate interval.
+W_n(x) = 2^{-n} e^{-i n theta/2} R_n(e^{i theta}) with x = cos(theta/2) has
+exactly n simple zeros in (-1, 1), and consecutive levels interlace with +-1
+as outer bounds.  Level k is read off the spectrum of the (k+1)x(k+1) unitary
+CMV matrix of alpha_0..alpha_{k-1} closed with alpha_k = conj(tau_k) (see
+cmv): one eigenvalue is z = 1, the other k are the zeros of R_k.  The ladder
+drops the eigenvalue nearest z = 1, maps the rest to x = cos(theta/2), and
+checks the interlacing of consecutive levels on its output.
 """
 
 from __future__ import annotations
@@ -16,125 +17,69 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bijection import SequencePair
+from .bijection import SequencePair, pair_to_verblunsky
+from .cmv import para_orthogonal_angles
 from .errors import (
-    BracketFailure,
     ClusterWarning,
     GapViolated,
     HypothesisViolated,
     InternalInvariant,
     InvalidParameters,
 )
-from .polynomials import w_eval
 
 __all__ = ["ZeroSet", "SupportGapReport", "zero_ladder", "w_zeros", "support_gap_check"]
 
+# zeros of one level closer than 10 DEFAULT_TOL in x raise ClusterWarning
 DEFAULT_TOL = 1e-13
 
-# |x| beyond which bisection switches to the theta parametrization
-_THETA_REFINE_BAND = 1.0 - 1e-6
-_MAX_BISECT = 80
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Zeros of W_n: x descending (x[0] largest), theta = 2 arccos(x) ascending."""
+    """Zeros of W_n: theta ascending in (0, 2 pi), x = cos(theta/2) descending."""
 
     n: int
     x: np.ndarray
     theta: np.ndarray
 
 
-def _bisect_batch(pair: SequencePair, level: int, lo, hi, flo, fhi, tol: float):
-    """Vector bisection on certified brackets; returns refined (lo, hi)."""
-    lo = lo.copy()
-    hi = hi.copy()
-    flo = flo.copy()
-    fhi = fhi.copy()
-    for _ in range(_MAX_BISECT):
-        if float(np.max(hi - lo)) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = w_eval(pair, level, mid)
-        sl, sm = np.sign(flo), np.sign(fm)
-        go_left = (sl * sm < 0.0) | (sm == 0.0)
-        hi = np.where(go_left, mid, hi)
-        fhi = np.where(go_left, fm, fhi)
-        lo = np.where(go_left, lo, mid)
-        flo = np.where(go_left, flo, fm)
-    return lo, hi, flo, fhi
-
-
-def _secant_polish(lo, hi, flo, fhi):
-    """One secant step, kept inside the certificate bracket."""
-    mid = 0.5 * (lo + hi)
-    denom = fhi - flo
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        cand = hi - fhi * (hi - lo) / denom
-    bad = ~np.isfinite(cand) | (cand < lo) | (cand > hi)
-    return np.where(bad, mid, cand)
-
-
-def _refine_theta(pair: SequencePair, level: int, lo, hi, idx, x_out, tol: float):
-    """Re-bisect near-unit zeros in theta, where x loses resolution."""
-    # arccos is decreasing: the x bracket [lo, hi] maps to theta [2acos(hi), 2acos(lo)]
-    tlo = 2.0 * np.arccos(hi[idx])
-    thi = 2.0 * np.arccos(lo[idx])
-    ftl = w_eval(pair, level, np.cos(0.5 * tlo))
-    fth = w_eval(pair, level, np.cos(0.5 * thi))
-    for _ in range(_MAX_BISECT):
-        if float(np.max(thi - tlo)) <= tol:
-            break
-        tm = 0.5 * (tlo + thi)
-        fm = w_eval(pair, level, np.cos(0.5 * tm))
-        sl, sm = np.sign(ftl), np.sign(fm)
-        go_left = (sl * sm < 0.0) | (sm == 0.0)
-        thi = np.where(go_left, tm, thi)
-        fth = np.where(go_left, fm, fth)
-        tlo = np.where(go_left, tlo, tm)
-        ftl = np.where(go_left, ftl, fm)
-    x_out[idx] = np.cos(0.5 * _secant_polish(tlo, thi, ftl, fth))
-
-
 def zero_ladder(pair: SequencePair, n: int, tol: float = DEFAULT_TOL) -> list[ZeroSet]:
-    """ZeroSets for every level 1..n, built incrementally from the interlacing."""
+    """ZeroSets for every level 1..n, each from the eigenvalues of a CMV matrix.
+
+    Raises InternalInvariant, naming the level and the index, where two
+    consecutive levels fail to interlace by more than 64 (k+1) eps; equality
+    is allowed, since levels can share a zero to rounding.  Warns ClusterWarning
+    where two zeros of a level lie closer than 10 tol.
+    """
     if not 1 <= n <= len(pair):
         raise InvalidParameters(f"need 1 <= n <= {len(pair)}, got {n}")
+    vs = pair_to_verblunsky(pair)
     ladder: list[ZeroSet] = []
-    c1 = pair.c[0]
-    asc = np.array([c1 / math.sqrt(1.0 + c1 * c1)])
-    ladder.append(_make_zero_set(1, asc, tol))
-    for level in range(2, n + 1):
-        lo = np.concatenate([[-1.0], asc])
-        hi = np.concatenate([asc, [1.0]])
-        f = w_eval(pair, level, np.concatenate([lo, hi]))
-        flo, fhi = f[: level], f[level:]
-        bad = np.sign(flo) * np.sign(fhi) >= 0.0
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise BracketFailure(
-                level, j,
-                f"W_{level} has values ({flo[j]!r}, {fhi[j]!r}) at "
-                f"[{lo[j]!r}, {hi[j]!r}]",
-            )
-        lo, hi, flo, fhi = _bisect_batch(pair, level, lo, hi, flo, fhi, tol)
-        asc = _secant_polish(lo, hi, flo, fhi)
-        near_unit = np.flatnonzero(np.abs(asc) > _THETA_REFINE_BAND)
-        if near_unit.size:
-            _refine_theta(pair, level, lo, hi, near_unit, asc, tol)
-        if np.any(np.diff(asc) <= 0.0):
-            raise InternalInvariant(f"level {level} zeros are not strictly increasing")
-        ladder.append(_make_zero_set(level, asc, tol))
+    for level in range(1, n + 1):
+        theta = para_orthogonal_angles(vs.alpha[:level], vs.tau[level].conjugate())
+        asc = np.cos(0.5 * theta[::-1])
+        if ladder:
+            _check_interlacing(ladder[-1].x[::-1], asc, level)
+        if level > 1 and float(np.min(np.diff(asc))) < 10.0 * tol:
+            warnings.warn(f"level {level} has zeros closer than {10.0 * tol:g}", ClusterWarning)
+        ladder.append(ZeroSet(n=level, x=asc[::-1], theta=theta))
     return ladder
 
 
-def _make_zero_set(level: int, asc: np.ndarray, tol: float) -> ZeroSet:
-    if asc.size > 1 and float(np.min(np.diff(asc))) < 10.0 * tol:
-        warnings.warn(
-            f"level {level} has zeros closer than {10.0 * tol:g}", ClusterWarning
+def _check_interlacing(lower: np.ndarray, upper: np.ndarray, level: int) -> None:
+    """upper[i] <= lower[i] <= upper[i+1] for ascending levels k - 1 and k."""
+    slack = 64.0 * (level + 1) * _EPS
+    below = ~(upper[:-1] <= lower + slack)
+    above = ~(lower <= upper[1:] + slack)
+    bad = np.flatnonzero(below | above)
+    if bad.size:
+        i = int(bad[0])
+        raise InternalInvariant(
+            f"levels {level - 1} and {level} do not interlace at index {i}: "
+            f"x = {float(lower[i])!r} at level {level - 1} outside "
+            f"[{float(upper[i])!r}, {float(upper[i + 1])!r}]"
         )
-    x = asc[::-1].copy()
-    return ZeroSet(n=level, x=x, theta=2.0 * np.arccos(x))
 
 
 def w_zeros(pair: SequencePair, n: int, tol: float = DEFAULT_TOL) -> ZeroSet:

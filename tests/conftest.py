@@ -7,10 +7,10 @@ from opuckit import make_pair
 def random_pair(rng, n, c_scale=0.5, m_lo=0.2, m_hi=0.8):
     """A pair with uniform c and minimal parameters away from 0 and 1.
 
-    The default ranges keep consecutive zero levels separated well above the
-    certification tolerance even at depth 60; larger |c| produces measures
-    with spectral gaps whose interior zeros cluster exponentially and can
-    defeat bracketing long before that depth.
+    The default ranges keep consecutive zero levels separated well above
+    1e-12 up to depth 60 or so; deeper ladders, or larger |c|, produce
+    spectral gaps whose interior zeros cluster exponentially, until
+    consecutive levels share a zero to rounding.
     """
     c = rng.uniform(-c_scale, c_scale, n)
     m = np.concatenate([[0.0], rng.uniform(m_lo, m_hi, n)])

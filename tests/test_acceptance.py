@@ -66,9 +66,10 @@ def ladder_ensemble():
     """Fifty random pairs of depth 40 with their ladders and quadratures.
 
     |c| <= 0.5 with minimal parameters in [0.2, 0.8] keeps consecutive zero
-    levels separated far above the certification tolerance at this depth;
-    larger |c| opens spectral gaps whose interior zeros cluster exponentially
-    and stop being resolvable long before level 40.
+    levels separated far above criterion 3's 1e-12 margin at this depth;
+    deeper ladders or larger |c| open spectral gaps whose interior zeros
+    cluster exponentially, until consecutive levels share a zero to rounding
+    (tests/test_zeros.py has such a pair at depth 200).
     """
     rng = np.random.default_rng(20240824)
     out = []

@@ -106,6 +106,12 @@ def test_make_pair_exactly_one_family():
         make_pair([0.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_make_pair_rejects_nonfinite_c(bad):
+    with pytest.raises(InvalidParameters, match=r"c\[1\]"):
+        make_pair([0.1, bad, 0.2], m=[0.0, 0.5, 0.5, 0.5])
+
+
 def test_pair_b_property():
     pair = make_pair([0.0, 0.0], m=[0.0, 0.25, 0.75])
     assert pair.b == (0.5, -0.5)

@@ -3,10 +3,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opuckit
 from opuckit.cli import main
 
 PAIR_TWO = '{"c": [0, 0], "d": [0.5, 0.25]}'
@@ -284,6 +289,14 @@ def test_exit_2_not_a_chain_sequence(capsys):
     assert error_type(err) == "NotAChainSequence"
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_exit_2_nonfinite_c(capsys, bad):
+    doc = '{"c": [0.1, %s, 0.2], "m": [0.5, 0.5, 0.5]}' % bad
+    code, _, err = run(capsys, ["quadrature", "--input", doc])
+    assert code == 2
+    assert error_type(err) == "InvalidParameters"
+
+
 def test_exit_2_both_families(capsys):
     code, _, err = run(
         capsys, ["zeros", "--input", '{"c": [0], "d": [0.5], "alpha": [[0.5, 0]]}']
@@ -330,3 +343,19 @@ def test_check_command(capsys):
     assert doc["ok"] is True
     assert len(doc["checks"]) >= 10
     assert all(entry["ok"] for entry in doc["checks"])
+
+
+def test_import_leaves_scipy_solvers_unloaded():
+    # quad and minimize_scalar are imported by the functions that call them,
+    # so a command that needs neither does not pay for loading them
+    probe = (
+        "import sys, opuckit.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    src = str(Path(opuckit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -106,3 +106,26 @@ def test_moment_stabilization(rng):
     mu_30 = moments(quadrature(pair, 30), 3)
     mu_60 = moments(quadrature(pair, 60), 3)
     assert np.max(np.abs(mu_30 - mu_60)) < 1e-10
+
+
+def test_node_next_to_z_one():
+    # pair 83 of default_rng(12345), drawn like the acceptance ensemble, puts
+    # a node 1.2e-3 rad from z = 1, where weights formed from R_n and Q_n
+    # lose about 2e-16 / t^2 each and broke the sum
+    rng = np.random.default_rng(12345)
+    for _ in range(83):
+        c = rng.uniform(-0.5, 0.5, 40)
+        m = np.concatenate([[0.0], rng.uniform(0.2, 0.8, 40)])
+    meas = quadrature(make_pair(c, m=m), 40)
+    t = np.minimum(meas.theta[1:], 2.0 * math.pi - meas.theta[1:])
+    assert 1.1e-3 < float(np.min(t)) < 1.3e-3
+    assert np.all(meas.weights > 0.0)
+    assert abs(float(np.sum(meas.weights)) - 1.0) <= 1e-12
+
+
+def test_weights_at_depth_200():
+    # the zero ladder by bisection raised at level 121 on this pair
+    pair = random_pair(np.random.default_rng(23), 200)
+    meas = quadrature(pair, 200)
+    assert np.all(meas.weights > 0.0)
+    assert abs(float(np.sum(meas.weights)) - 1.0) <= 1e-12

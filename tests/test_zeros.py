@@ -1,13 +1,16 @@
-"""Certified zero ladders: interlacing, accuracy, and the excluded interval."""
+"""Zero ladders: interlacing, accuracy, and the excluded interval."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from opuckit import make_pair, r_coeffs, support_gap_check, w_eval, w_zeros, zero_ladder
-from opuckit.errors import ClusterWarning, HypothesisViolated, InvalidParameters
+from opuckit import make_pair, r_coeffs, support_gap_check, w_eval, w_zeros, zero_ladder, zeros
+from opuckit.errors import ClusterWarning, HypothesisViolated, InternalInvariant, InvalidParameters
 from conftest import random_pair
+
+EPS = sys.float_info.epsilon
 
 
 def test_level_one_closed_form():
@@ -48,6 +51,39 @@ def test_strict_interlacing(rng):
             cur_sorted = np.sort(cur.x)
             assert np.all(cur_sorted - lo > 1e-12)
             assert np.all(hi - cur_sorted > 1e-12)
+
+
+def test_ladder_at_depth_200():
+    # consecutive levels of this pair share zeros to rounding inside a gap of
+    # the support; bisection between them raised at level 121
+    pair = random_pair(np.random.default_rng(23), 200)
+    ladder = zero_ladder(pair, 200)
+    for zs in (ladder[120], ladder[-1]):
+        residual = np.max(np.abs(w_eval(pair, zs.n, zs.x)))
+        scale = float(np.max(np.abs(w_eval(pair, zs.n, np.linspace(-1.0, 1.0, 301)))))
+        assert residual < 1e-10 * max(scale, 1e-300)
+    closest = math.inf
+    for prev, cur in zip(ladder, ladder[1:]):
+        lower, upper = prev.x[::-1], cur.x[::-1]
+        slack = 64.0 * (cur.n + 1) * EPS
+        assert np.all(upper[:-1] <= lower + slack) and np.all(lower <= upper[1:] + slack)
+        closest = min(closest, float(np.min(np.abs(cur.x[:, None] - prev.x[None, :]))))
+    assert closest < 1e-15
+
+
+def test_interlacing_breach_names_level_and_index(rng, monkeypatch):
+    pair = random_pair(rng, 6)
+    real = zeros.para_orthogonal_angles
+
+    def shifted(alpha, beta):
+        theta = real(alpha, beta)
+        if len(alpha) == 4:
+            theta[2] = theta[3]  # past the zero of level 3 between them
+        return theta
+
+    monkeypatch.setattr(zeros, "para_orthogonal_angles", shifted)
+    with pytest.raises(InternalInvariant, match=r"levels 3 and 4 do not interlace at index \d"):
+        zero_ladder(pair, 6)
 
 
 def test_against_companion_roots(rng):
