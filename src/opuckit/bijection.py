@@ -31,8 +31,9 @@ __all__ = [
     "verblunsky_to_pair",
 ]
 
-# unimodular products are renormalized at this stride to stop drift
-_RENORM_EVERY = 64
+# every running unimodular product in the package (here, transforms, periodic)
+# is renormalized at this stride to stop drift
+RENORM_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def tau_from_c(c) -> tuple[complex, ...]:
     t = 1.0 + 0.0j
     for n, cn in enumerate(c, start=1):
         t = t * ((1.0 - 1j * cn) / (1.0 + 1j * cn))
-        if n % _RENORM_EVERY == 0:
+        if n % RENORM_EVERY == 0:
             t /= abs(t)
         tau.append(t)
     return tuple(tau)
@@ -136,7 +137,7 @@ def pair_to_verblunsky(pair: SequencePair) -> VerblunskySequence:
         mn = pair.m[n]
         alpha.append(t.conjugate() * (1.0 - 2.0 * mn - 1j * cn) / (1.0 - 1j * cn))
         t = t * ((1.0 - 1j * cn) / (1.0 + 1j * cn))
-        if n % _RENORM_EVERY == 0:
+        if n % RENORM_EVERY == 0:
             t /= abs(t)
         tau.append(t)
     return VerblunskySequence(alpha=tuple(alpha), tau=tuple(tau))
@@ -161,7 +162,7 @@ def verblunsky_to_pair(alpha) -> SequencePair:
         c.append(-u.imag / denom)
         m.append(0.5 * abs(1.0 - u) ** 2 / denom)
         t = t * ((1.0 - u.conjugate()) / (1.0 - u))
-        if n % _RENORM_EVERY == 0:
+        if n % RENORM_EVERY == 0:
             t /= abs(t)
     chain = ChainSequence(d=d_from_minimal(m), m=tuple(m))
     return SequencePair(c=tuple(c), chain=chain)

@@ -227,7 +227,7 @@ def cmd_periodic(args) -> int:
         if not 1 <= args.p <= len(alpha):
             raise InvalidParameters(f"--p must be in [1, {len(alpha)}]")
         alpha = alpha[: args.p]
-    spec = periodic.full_spectrum(alpha, grid_per_period=args.grid)
+    spec = periodic.full_spectrum(alpha)
     norm = periodic.normalization_report(alpha, spec)
     _emit_json(
         args,
@@ -445,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("periodic", help="bands, gaps, candidates and masses of a periodic block")
     _add_io(p, csv_ok=False)
     p.add_argument("--p", type=int, default=None, help="period (default: input length)")
-    p.add_argument("--grid", type=int, default=4096, help="scan points per period")
     p.set_defaults(fn=cmd_periodic)
 
     p = sub.add_parser("weight", help="absolutely continuous density on the bands")

@@ -13,6 +13,13 @@ and the spectral measure of e_0 puts the mass |Z[0, j]|^2 on the j-th of them
 (Gauss-Szego quadrature; C is normal, so its Schur vectors Z are its
 eigenvectors).  The bijection's beta = conj(tau_k) makes z = 1 one eigenvalue
 and the k zeros of R_k the others.
+
+An even period alpha_0..alpha_{p-1} also gives the p x p Floquet matrix
+E(beta) = L M(beta) (Simon, OPUC vol. 2 chapter 11): the block of alpha_{p-1}
+wraps from index p - 1 back to index 0 with the unimodular quasi-momentum
+beta.  Its eigenvalues are the z = e^{i theta} where the discriminant
+e^{-i p theta/2} Tr T_p(z) equals beta + 1/beta, so beta = +1 and beta = -1
+give the band edges where it is +2 and -2.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import math
 
 import numpy as np
 
-__all__ = ["cmv_matrix", "para_orthogonal_angles", "gauss_szego"]
+__all__ = ["cmv_matrix", "floquet_matrix", "para_orthogonal_angles", "gauss_szego"]
 
 
 def _theta_sum(a: np.ndarray, rho: np.ndarray, first: int) -> np.ndarray:
@@ -39,12 +46,31 @@ def _theta_sum(a: np.ndarray, rho: np.ndarray, first: int) -> np.ndarray:
     return out
 
 
+def _rho(a: np.ndarray) -> np.ndarray:
+    r = np.abs(a)
+    return np.sqrt((1.0 - r) * (1.0 + r))
+
+
 def cmv_matrix(alpha, beta: complex) -> np.ndarray:
     """The (k+1)x(k+1) CMV matrix L M of alpha_0..alpha_{k-1} closed by |beta| = 1."""
     a = np.append(np.asarray(alpha, dtype=complex), complex(beta))
-    r = np.abs(a[:-1])
-    rho = np.sqrt((1.0 - r) * (1.0 + r))
+    rho = _rho(a[:-1])
     return _theta_sum(a, rho, 0) @ _theta_sum(a, rho, 1)
+
+
+def floquet_matrix(alpha, beta: complex) -> np.ndarray:
+    """The p x p Floquet CMV matrix L M(beta) of one even period alpha_0..alpha_{p-1}.
+
+    M's last block is closed around the corner: M[p-1, p-1] = conj(alpha_{p-1}),
+    M[0, 0] = -alpha_{p-1}, M[p-1, 0] = rho_{p-1} beta, M[0, p-1] = rho_{p-1}/beta.
+    """
+    a = np.asarray(alpha, dtype=complex)
+    rho = _rho(a)
+    m = _theta_sum(a, rho, 1)
+    m[0, 0] = -a[-1]
+    m[-1, 0] = rho[-1] * beta
+    m[0, -1] = rho[-1] / beta
+    return _theta_sum(a, rho, 0) @ m
 
 
 def _split_at_one(z: np.ndarray):

@@ -80,14 +80,6 @@ class NonRealDiscriminant(NumericsError):
     pass
 
 
-class RootCountMismatch(NumericsError):
-    pass
-
-
-class CandidateCountMismatch(NumericsError):
-    pass
-
-
 class DenominatorVanished(NumericsError):
     pass
 

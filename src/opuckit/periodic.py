@@ -10,11 +10,14 @@ real on the circle (branch fixed by theta in [0, 2 pi]; for odd p the value at
 theta = 2 pi is minus the value at 0, and the two ends count as separate
 solutions of Delta = +-2).  The essential support is the p bands where
 |Delta| <= 2; the gaps between them are open arcs or single touching points
-(closed gaps, detected as tangential roots).  Point masses can only sit at the
-p zeros of pi(z) = phi_p*(z) - phi_p(z), equivalently where tau_p(w) = 1; each
-candidate carries mass 1/(1 + sum of tail products) when the product of one
-period's factors q_j is < 1, and no mass otherwise.  On band interiors the
-absolutely continuous weight is
+(closed gaps).  The band edges are the eigenvalues of the unitary Floquet CMV
+matrices E(+1) and E(-1) (see cmv), and a touching point is a double
+eigenvalue.  Point masses can only sit at the p zeros of
+pi(z) = phi_p*(z) - phi_p(z), equivalently where tau_p(w) = 1, which are the
+eigenvalues of a p x p CMV matrix; each candidate carries mass
+1/(1 + sum of tail products) when the product of one period's factors q_j is
+< 1, and no mass otherwise.  On band interiors the absolutely continuous
+weight is
 
     w(theta) = sqrt(4 - Delta^2) / (2 |Im(e^{-i p theta/2} phi_p_on(e^{i theta}))|)
 
@@ -26,13 +29,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bijection import SequencePair
+from .bijection import RENORM_EVERY, SequencePair
+from .cmv import cmv_matrix, floquet_matrix
 from .errors import (
-    CandidateCountMismatch,
     DenominatorVanished,
     HypothesisViolated,
     InternalInvariant,
@@ -40,7 +43,6 @@ from .errors import (
     NonRealDiscriminant,
     NotACandidate,
     OffBand,
-    RootCountMismatch,
 )
 from .polynomials import kappa_from_alpha, szego_eval
 
@@ -67,10 +69,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-_MERGE_TOL = 1e-9  # vertices closer than this (in z-angle) are one point
-_DETECT_FRACTION = 1e-3  # loose trigger for refining a candidate tangential dip
-_TOUCH_TOL = 1e-8  # confirmed |f| at a tangential root (closed gap)
-_PAIR_TOL = 1e-6  # simple roots this close are one noise-floor tangency
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_alpha(alpha) -> tuple[complex, ...]:
@@ -119,12 +118,13 @@ def transfer_product(alpha, z) -> np.ndarray:
     return np.array([[A, B], [C, D]], dtype=complex)
 
 
-def discriminant(alpha, theta, imag_tol: float = 1e-10):
+def discriminant(alpha, theta):
     """Delta(theta) = e^{-i p theta/2} Tr T_p(e^{i theta}).
 
     theta is taken literally in [0, 2 pi] (not reduced), which fixes the branch
-    for odd p.  The imaginary part must vanish to imag_tol (relative to the
-    trace magnitude); NonRealDiscriminant otherwise.
+    for odd p.  The imaginary part must vanish to the rounding bound of the
+    transfer product, 16 p eps prod_j (1 + |alpha_j|)/rho_j (each factor is the
+    infinity norm of A(alpha_j, z)); NonRealDiscriminant otherwise.
     """
     alpha = _check_alpha(alpha)
     p = len(alpha)
@@ -134,260 +134,15 @@ def discriminant(alpha, theta, imag_tol: float = 1e-10):
     z = np.exp(1j * t)
     A, _, _, D = _transfer_entries(alpha, z)
     val = np.exp(-0.5j * p * t) * (A + D)
-    bound = imag_tol * float(np.max(np.maximum(1.0, np.abs(val))))
+    norm = math.prod((1.0 + abs(a)) / math.sqrt(1.0 - abs(a) ** 2) for a in alpha)
+    bound = 16.0 * p * _EPS * norm
     defect = float(np.max(np.abs(val.imag)))
-    if defect > bound:
+    if not defect <= bound:
         raise NonRealDiscriminant(
             f"discriminant imaginary defect {defect!r} exceeds {bound!r}"
         )
     out = val.real
     return float(out[0]) if scalar else out
-
-
-def _disc_deriv(alpha, theta: float) -> float:
-    """d Delta / d theta at a scalar theta, from the z-derivative of T_p.
-
-    A band touching point is a critical point of Delta, and locating it from
-    Delta values alone is sqrt(eps)-limited by the quadratic flatness; the
-    analytic derivative restores full precision there.
-    """
-    p = len(alpha)
-    z = cmath.exp(1j * theta)
-    A = D = 1.0 + 0.0j
-    B = C = 0.0j
-    dA = dB = dC = dD = 0.0j
-    for a in alpha:
-        s = 1.0 / math.sqrt(1.0 - abs(a) ** 2)
-        ac = a.conjugate()
-        dA, dB, dC, dD = (
-            s * (A + z * dA - ac * dC),
-            s * (B + z * dB - ac * dD),
-            s * (-a * (A + z * dA) + dC),
-            s * (-a * (B + z * dB) + dD),
-        )
-        A, B, C, D = (
-            s * (z * A - ac * C),
-            s * (z * B - ac * D),
-            s * (-a * z * A + C),
-            s * (-a * z * B + D),
-        )
-    trace = A + D
-    trace_z = dA + dD
-    val = cmath.exp(-0.5j * p * theta) * (-0.5j * p * trace + 1j * z * trace_z)
-    return val.real
-
-
-# ------------------ root scanning on the circle ------------------ #
-
-
-def _bisect_scalar(fun, lo, hi, flo, fhi, tol):
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = fun(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0.0) != (fm < 0.0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _refine_minimum(fun, lo, hi):
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda t: fun(t) ** 2, bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-14},
-    )
-    return float(res.x)
-
-
-def _polish_critical(deriv, theta, span):
-    """Sharpen a tangential root to the nearby zero of the derivative.
-
-    Returns theta unchanged when no derivative sign change shows up within a
-    couple of scan cells (the confirmation step has already accepted the point,
-    so this only ever improves the location)."""
-    d0 = deriv(theta)
-    if d0 == 0.0:
-        return theta
-    for h in (span / 8.0, span / 4.0, span / 2.0, span, 2.0 * span):
-        lo, hi = theta - h, theta + h
-        dlo, dhi = deriv(lo), deriv(hi)
-        if dlo == 0.0:
-            return lo
-        if dhi == 0.0:
-            return hi
-        if (dlo < 0.0) != (dhi < 0.0):
-            return _bisect_scalar(deriv, lo, hi, dlo, dhi, 1e-15)
-    return theta
-
-
-@dataclass
-class _Root:
-    theta: float  # raw angle in [0, 2 pi]
-    mult: int
-    tangential: bool
-
-
-def _nearest_sign(sgn, i, step, wrap, limit=16):
-    n = len(sgn)
-    j = i
-    for _ in range(limit):
-        j = (j + step) % n if wrap else j + step
-        if not wrap and not 0 <= j < n:
-            return None
-        if sgn[j] != 0:
-            return int(sgn[j])
-    raise InternalInvariant("sign plateau wider than the scan window")
-
-
-def _scan_roots(fun, grid, fvals, wrap, band_side, tol, polish=None):
-    """Roots of a sampled real function on the circle.
-
-    wrap=True treats the grid as periodic (even p).  band_side is the sign the
-    function takes on the |Delta| < 2 side of a touching point (-1 for
-    Delta - 2, +1 for Delta + 2); it classifies one-sided roots at the branch
-    cut, which count with multiplicity 1.  Interior tangential roots count 2.
-    polish, when given, maps a tangential root to the nearby zero of the
-    function's derivative (tangencies are critical points, where value-based
-    location is only sqrt(eps)-accurate).
-    """
-    n = len(grid)
-    sgn = np.sign(fvals)
-    span = grid[1] - grid[0]
-    cell_used = np.zeros(n, dtype=bool)  # cell i = (grid[i], next angle)
-    roots: list[_Root] = []
-
-    def lift(i):
-        # angle of grid point (i % n) on the branch side of cell i-1..i
-        return grid[i] if i < n else TWO_PI
-
-    # exact grid zeros
-    for i in np.flatnonzero(sgn == 0.0):
-        left = _nearest_sign(sgn, i, -1, wrap) if (wrap or i > 0) else None
-        right = _nearest_sign(sgn, i, +1, wrap) if (wrap or i < n - 1) else None
-        if left is None or right is None:
-            side = right if left is None else left
-            root = _Root(float(grid[i]), 1, side == band_side)
-        else:
-            tang = left * right > 0
-            root = _Root(float(grid[i]), 2 if tang else 1, tang)
-        if root.tangential and polish is not None:
-            root.theta = _polish_critical(polish, root.theta, span)
-            if not wrap:
-                root.theta = min(max(root.theta, 0.0), TWO_PI)
-        roots.append(root)
-        for cell in (i - 1, i):
-            if wrap:
-                cell_used[cell % n] = True
-            elif 0 <= cell < n:
-                cell_used[cell] = True
-
-    # sign changes
-    last = n if wrap else n - 1
-    for i in range(last):
-        j = (i + 1) % n
-        if cell_used[i % n] or sgn[i] == 0.0 or sgn[j] == 0.0:
-            continue
-        if sgn[i] * sgn[j] < 0.0:
-            lo, hi = float(grid[i]), float(lift(i + 1))
-            theta = _bisect_scalar(fun, lo, hi, fvals[i], fvals[j], tol)
-            roots.append(_Root(theta, 1, False))
-            cell_used[i % n] = True
-
-    scale = max(1.0, float(np.max(np.abs(fvals))))
-
-    # A tangency whose grid value rounds to the wrong side of zero shows up as
-    # two simple crossings through the noise floor a few nanoradians apart;
-    # collapse such a pair to one polished double root.
-    if polish is not None and len(roots) >= 2:
-        roots.sort(key=lambda r: r.theta)
-
-        def merged_pair(hint):
-            theta = _polish_critical(polish, hint, span)
-            if wrap:
-                theta %= TWO_PI
-            else:
-                theta = min(max(theta, 0.0), TWO_PI)
-            if abs(fun(theta)) >= _TOUCH_TOL * scale:
-                return None
-            return _Root(theta, 2, True)
-
-        def simple(r):
-            return r.mult == 1 and not r.tangential
-
-        out: list[_Root] = []
-        k = 0
-        while k < len(roots):
-            r = roots[k]
-            if (
-                k + 1 < len(roots)
-                and simple(r)
-                and simple(roots[k + 1])
-                and roots[k + 1].theta - r.theta < _PAIR_TOL
-            ):
-                m = merged_pair(0.5 * (r.theta + roots[k + 1].theta))
-                if m is not None:
-                    out.append(m)
-                    k += 2
-                    continue
-            out.append(r)
-            k += 1
-        if (
-            wrap
-            and len(out) >= 2
-            and simple(out[0])
-            and simple(out[-1])
-            and out[0].theta + TWO_PI - out[-1].theta < _PAIR_TOL
-        ):
-            m = merged_pair(0.5 * (out[0].theta + out[-1].theta - TWO_PI))
-            if m is not None:
-                out = [m] + out[1:-1]
-        roots = out
-
-    # tangential dips: loose detection, strict confirmation
-    loose = _DETECT_FRACTION * scale
-    for ii in range(n):
-        f0 = abs(fvals[ii])
-        if not 0.0 < f0 < loose:
-            continue
-        il = (ii - 1) % n if wrap else max(ii - 1, 0)
-        ir = (ii + 1) % n if wrap else min(ii + 1, n - 1)
-        if cell_used[il] or cell_used[ii]:
-            continue
-        if f0 > abs(fvals[il]) or f0 > abs(fvals[ir]):
-            continue
-        lo = float(grid[ii]) - 2.0 * span
-        hi = float(grid[ii]) + 2.0 * span
-        if not wrap:
-            lo, hi = max(lo, 0.0), min(hi, TWO_PI)
-        theta = _refine_minimum(fun, lo, hi)
-        if abs(fun(theta)) >= _TOUCH_TOL * scale:
-            continue
-        if polish is not None:
-            theta = _polish_critical(polish, theta, span)
-            if not wrap:
-                theta = min(max(theta, 0.0), TWO_PI)
-        at_cut = not wrap and (theta < 2.0 * span or theta > TWO_PI - 2.0 * span)
-        if at_cut:
-            roots.append(_Root(theta, 1, True))
-        else:
-            roots.append(_Root(theta, 2, True))
-        cell_used[il] = True
-        cell_used[ii] = True
-    return roots
-
-
-def _solution_grid(p: int, grid_per_period: int):
-    wrap = p % 2 == 0
-    n = grid_per_period * p
-    if wrap:
-        return np.linspace(0.0, TWO_PI, n, endpoint=False), wrap
-    return np.linspace(0.0, TWO_PI, n + 1), wrap
 
 
 # ------------------ bands and gaps ------------------ #
@@ -427,101 +182,67 @@ class PeriodicSpectrum:
     pure_points: tuple[PurePoint, ...] = ()
 
 
-def band_structure(
-    alpha, grid_per_period: int = 4096, tol: float = 1e-12
-) -> PeriodicSpectrum:
+def _edges(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The 2p solutions of Delta = +-2: raw angles in [0, 2 pi], ascending, and
+    the sign of Delta at each.
+
+    Even p: the eigenvalues of the Floquet matrices E(+1) and E(-1), signed by
+    the matrix they come from.  Odd p: the eigenvalues of E(+1) of the doubled
+    block, whose discriminant is Delta^2 - 2, signed by Delta at their angle.
+    """
+    p = len(alpha)
+    if p % 2 == 0:
+        z = np.concatenate([np.linalg.eigvals(floquet_matrix(alpha, b)) for b in (1.0, -1.0)])
+        sign = np.repeat([1, -1], p)
+        theta = np.mod(np.angle(z), TWO_PI)
+    else:
+        theta = np.mod(np.angle(np.linalg.eigvals(floquet_matrix(alpha + alpha, 1.0))), TWO_PI)
+        sign = np.where(discriminant(alpha, theta) > 0.0, 1, -1)
+    order = np.argsort(theta, kind="stable")
+    return theta[order], sign[order]
+
+
+def band_structure(alpha) -> PeriodicSpectrum:
     """Locate all solutions of Delta = +-2 and assemble bands and gaps.
 
-    Simple roots come from certified sign-change bisection on the scan grid;
-    touching points (closed gaps) are tangential dips of |Delta -+ 2| confirmed
-    below 1e-8 and count with multiplicity 2 (1 at the odd-p branch cut).
-    RootCountMismatch if either count differs from p.
+    Walking the edges around the circle, an arc between a +2 and a -2 edge is
+    a band and an arc between two edges of one sign is a gap.  The arc that
+    wraps through angle 0 ends at the first edge plus 2 pi, where Delta has
+    the first edge's sign times (-1)^p; for odd p that lifted angle is the one
+    reported for the edge when the arc is a band.  A gap is closed, lo == hi,
+    when its edges agree to the eigensolver's backward error 64 p eps: the
+    Floquet matrices are normal, so a touching point is an exact double
+    eigenvalue.
     """
     alpha = _check_alpha(alpha)
     p = len(alpha)
-    grid, wrap = _solution_grid(p, grid_per_period)
-    dvals = discriminant(alpha, grid)
-
-    def f_plus(t):
-        return discriminant(alpha, t) - 2.0
-
-    def f_minus(t):
-        return discriminant(alpha, t) + 2.0
-
-    def deriv(t):
-        return _disc_deriv(alpha, t)
-
-    plus = _scan_roots(
-        f_plus, grid, dvals - 2.0, wrap, band_side=-1, tol=tol, polish=deriv
-    )
-    minus = _scan_roots(
-        f_minus, grid, dvals + 2.0, wrap, band_side=+1, tol=tol, polish=deriv
-    )
-    for name, roots in (("+2", plus), ("-2", minus)):
-        got = sum(r.mult for r in roots)
-        if got != p:
-            raise RootCountMismatch(
-                f"{got} solutions of Delta = {name} (multiplicity counted), "
-                f"expected {p}; angles {[round(r.theta, 6) for r in roots]}"
-            )
-
-    # vertices in z-space: merge raw angles mod 2 pi
-    tagged = [(r, +1) for r in plus] + [(r, -1) for r in minus]
-    verts: list[dict] = []
-    for r, sign in sorted(tagged, key=lambda t: t[0].theta % TWO_PI):
-        ang = r.theta % TWO_PI
-        home = None
-        for v in verts:
-            d = abs(ang - v["angle"])
-            if min(d, TWO_PI - d) < _MERGE_TOL:
-                home = v
-                break
-        if home is None:
-            home = {"angle": ang, "roots": [], "tangential": False}
-            verts.append(home)
-        home["roots"].append((sign, r.theta))
-        home["tangential"] = home["tangential"] or r.tangential
-    verts.sort(key=lambda v: v["angle"])
-
-    def vertex_sign(v, lifted_angle):
-        best = min(v["roots"], key=lambda sr: abs(sr[1] - lifted_angle))
-        return best[0]
-
+    theta, sign = _edges(alpha)
+    ends = np.append(theta, theta[0] + TWO_PI)
+    signs = np.append(sign, sign[0] * (-1) ** p)
     bands: list[Band] = []
     gaps: list[Gap] = []
-    K = len(verts)
-    for i in range(K):
-        a = verts[i]["angle"]
-        b = verts[(i + 1) % K]["angle"] + (TWO_PI if i == K - 1 else 0.0)
-        if K == 1:
-            b = a + TWO_PI
-        mid = 0.5 * (a + b) % TWO_PI
-        if abs(discriminant(alpha, mid)) < 2.0:
-            bands.append(
-                Band(
-                    lo=a,
-                    hi=b,
-                    lo_sign=vertex_sign(verts[i], a),
-                    hi_sign=vertex_sign(verts[(i + 1) % K], b),
-                )
-            )
+    for i in range(2 * p):
+        lo, hi = float(ends[i]), float(ends[i + 1])
+        if signs[i] != signs[i + 1]:
+            bands.append(Band(lo=lo, hi=hi, lo_sign=int(signs[i]), hi_sign=int(signs[i + 1])))
+        elif hi - lo <= 64.0 * p * _EPS:
+            mid = 0.5 * (lo + hi) % TWO_PI
+            gaps.append(Gap(lo=mid, hi=mid, closed=True))
         else:
-            gaps.append(Gap(lo=a, hi=b, closed=False))
-    for v in verts:
-        if v["tangential"]:
-            gaps.append(Gap(lo=v["angle"], hi=v["angle"], closed=True))
-    gaps.sort(key=lambda g: g.lo)
+            gaps.append(Gap(lo=lo, hi=hi, closed=False))
     if len(bands) != p:
         raise InternalInvariant(
             f"assembled {len(bands)} bands for period {p}: "
             f"{[(round(b.lo, 6), round(b.hi, 6)) for b in bands]}"
         )
+    if p % 2 and signs[-2] != signs[-1]:
+        theta[0], sign[0] = ends[-1], signs[-1]
     return PeriodicSpectrum(
         p=p,
-        plus_solutions=tuple(sorted(r.theta for r in plus for _ in range(r.mult))),
-        minus_solutions=tuple(sorted(r.theta for r in minus for _ in range(r.mult))),
+        plus_solutions=tuple(sorted(float(t) for t in theta[sign > 0])),
+        minus_solutions=tuple(sorted(float(t) for t in theta[sign < 0])),
         bands=tuple(sorted(bands, key=lambda b: b.lo)),
-        gaps=tuple(gaps),
+        gaps=tuple(sorted(gaps, key=lambda g: g.lo)),
     )
 
 
@@ -543,53 +264,26 @@ def _pi_defect(alpha, z) -> float:
     return num / max(1.0, abs(complex(st.phi)), abs(complex(st.phi_star)))
 
 
-def gap_candidates(
-    alpha, grid_per_period: int = 4096, tol: float = 1e-12, defect_tol: float = 1e-6
-):
+def gap_candidates(alpha, defect_tol: float = 1e-6):
     """The p circle zeros of pi(z) = phi_p*(z) - phi_p(z), as (z, theta) lists.
 
-    Found by sign-change scanning of the real function h(theta) =
-    Im(e^{-i p theta/2} phi_p(e^{i theta})), then verified against pi directly.
-    For odd p a zero at the branch cut appears at both theta = 0 and 2 pi; it
-    is the single point z = 1 and is counted once (twice only when the two cut
-    ends flank it with opposite growth, the double-zero signature).
+    pi = -(1 + alpha_{p-1}) (z phi_{p-1} - conj(beta) phi_{p-1}*) with
+    beta = (1 + alpha_{p-1})/(1 + conj(alpha_{p-1})), so the zeros are the
+    eigenvalues of the CMV matrix of alpha_0..alpha_{p-2} closed by beta.
+    Each is verified against pi directly; thetas ascend in [0, 2 pi].
     """
     alpha = _check_alpha(alpha)
-    p = len(alpha)
-    grid, wrap = _solution_grid(p, grid_per_period)
-    hvals = _h_values(alpha, grid)
-
-    def fun(t):
-        return float(_h_values(alpha, t)[0])
-
-    roots = _scan_roots(fun, grid, hvals, wrap, band_side=0, tol=tol)
-    if not wrap:
-        # odd p: both cut ends describe z = 1; merge them
-        at_zero = [r for r in roots if r.theta < _MERGE_TOL]
-        at_two_pi = [r for r in roots if TWO_PI - r.theta < _MERGE_TOL]
-        if at_zero and at_two_pi:
-            for r in at_two_pi:
-                roots.remove(r)
-            lo_side = _nearest_sign(np.sign(hvals), 0, +1, wrap=False)
-            hi_side = _nearest_sign(np.sign(hvals), len(grid) - 1, -1, wrap=False)
-            at_zero[0].mult = 1 if lo_side == hi_side else 2
-    total = sum(r.mult for r in roots)
-    if total != p:
-        raise CandidateCountMismatch(
-            f"{total} candidate zeros found (multiplicity counted), expected {p}; "
-            f"angles {[round(r.theta % TWO_PI, 6) for r in roots]}"
-        )
-    thetas = sorted(r.theta % TWO_PI for r in roots)
+    a = alpha[-1]
+    z = np.linalg.eigvals(cmv_matrix(alpha[:-1], (1.0 + a) / (1.0 + a.conjugate())))
+    thetas = tuple(sorted(float(t) for t in np.mod(np.angle(z), TWO_PI)))
     zs = []
     for th in thetas:
         z = cmath.exp(1j * th)
         defect = _pi_defect(alpha, z)
-        if defect > defect_tol:
-            raise InternalInvariant(
-                f"scanned candidate theta = {th!r} has pi-defect {defect!r}"
-            )
+        if not defect <= defect_tol:
+            raise InternalInvariant(f"candidate theta = {th!r} has pi-defect {defect!r}")
         zs.append(z)
-    return tuple(zs), tuple(thetas)
+    return tuple(zs), thetas
 
 
 # ------------------ point masses ------------------ #
@@ -617,7 +311,7 @@ def tau_w(alpha, w: complex, n: int | None = None) -> np.ndarray:
         if abs(den) < 1e-14:
             raise DenominatorVanished(f"1 - w tau_{j} alpha_{j} = {den!r}")
         t = (w * t - a.conjugate()) / den
-        if (j + 1) % 64 == 0:
+        if (j + 1) % RENORM_EVERY == 0:
             t /= abs(t)
         out[j + 1] = t
     return out
@@ -693,7 +387,7 @@ def mass_series(alpha, w: complex, n_terms: int, stop_tol: float = 1e-14) -> flo
         if abs(den) < 1e-14:
             raise DenominatorVanished(f"1 - w tau_{j} alpha_{j} = {den!r}")
         t = (w * t - a.conjugate()) / den
-        if (j + 1) % 64 == 0:
+        if (j + 1) % RENORM_EVERY == 0:
             t /= abs(t)
     return 1.0 / (1.0 + lam)
 
@@ -749,15 +443,10 @@ def _band_integral(alpha, lo: float, hi: float, kappa: float) -> float:
     return left + right
 
 
-def full_spectrum(
-    alpha,
-    grid_per_period: int = 4096,
-    tol: float = 1e-12,
-    candidate_tol: float = 1e-6,
-) -> PeriodicSpectrum:
+def full_spectrum(alpha, candidate_tol: float = 1e-6) -> PeriodicSpectrum:
     """Bands, gaps, candidates and confirmed pure points in one report."""
-    spec = band_structure(alpha, grid_per_period, tol)
-    zs, thetas = gap_candidates(alpha, grid_per_period, tol)
+    spec = band_structure(alpha)
+    zs, thetas = gap_candidates(alpha)
     points = []
     for z, th in zip(zs, thetas):
         mass = pure_point_mass(alpha, z, candidate_tol=candidate_tol)

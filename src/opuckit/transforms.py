@@ -13,12 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bijection import SequencePair, VerblunskySequence, make_pair, pair_to_verblunsky
+from .bijection import (
+    RENORM_EVERY,
+    SequencePair,
+    VerblunskySequence,
+    make_pair,
+    pair_to_verblunsky,
+)
 from .errors import HypothesisViolated, InvalidParameters
 
 __all__ = ["UnfoldingData", "conjugate_pair", "rotate_alpha", "unfold_alternating"]
-
-_RENORM_EVERY = 64
 
 
 def conjugate_pair(pair: SequencePair) -> SequencePair:
@@ -39,7 +43,7 @@ def rotate_alpha(alpha, beta: complex) -> tuple[complex, ...]:
     power = 1.0 + 0.0j
     for n, a in enumerate(alpha, start=1):
         power *= beta
-        if n % _RENORM_EVERY == 0:
+        if n % RENORM_EVERY == 0:
             power /= abs(power)
         out.append(power * complex(a))
     return tuple(out)
@@ -86,7 +90,7 @@ def unfold_alternating(pair: SequencePair, tol: float = 1e-12) -> UnfoldingData:
         bk = beta[k]
         alpha_tilde.append(sq * bk * alpha[2 * k])
         sq *= bk * bk
-        if (k + 1) % _RENORM_EVERY == 0:
+        if (k + 1) % RENORM_EVERY == 0:
             sq /= abs(sq)
         alpha_tilde.append(sq * alpha[2 * k + 1])
     c_tilde: list[float] = []

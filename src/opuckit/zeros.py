@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bijection import SequencePair, pair_to_verblunsky
+from .bijection import SequencePair, VerblunskySequence, pair_to_verblunsky
 from .cmv import para_orthogonal_angles
 from .errors import (
     ClusterWarning,
@@ -52,19 +52,29 @@ def zero_ladder(pair: SequencePair, n: int, tol: float = DEFAULT_TOL) -> list[Ze
     is allowed, since levels can share a zero to rounding.  Warns ClusterWarning
     where two zeros of a level lie closer than 10 tol.
     """
-    if not 1 <= n <= len(pair):
-        raise InvalidParameters(f"need 1 <= n <= {len(pair)}, got {n}")
-    vs = pair_to_verblunsky(pair)
+    vs = _verblunsky(pair, n)
     ladder: list[ZeroSet] = []
     for level in range(1, n + 1):
-        theta = para_orthogonal_angles(vs.alpha[:level], vs.tau[level].conjugate())
-        asc = np.cos(0.5 * theta[::-1])
+        zs = _level(vs, level, tol)
         if ladder:
-            _check_interlacing(ladder[-1].x[::-1], asc, level)
-        if level > 1 and float(np.min(np.diff(asc))) < 10.0 * tol:
-            warnings.warn(f"level {level} has zeros closer than {10.0 * tol:g}", ClusterWarning)
-        ladder.append(ZeroSet(n=level, x=asc[::-1], theta=theta))
+            _check_interlacing(ladder[-1].x[::-1], zs.x[::-1], level)
+        ladder.append(zs)
     return ladder
+
+
+def _verblunsky(pair: SequencePair, n: int) -> VerblunskySequence:
+    if not 1 <= n <= len(pair):
+        raise InvalidParameters(f"need 1 <= n <= {len(pair)}, got {n}")
+    return pair_to_verblunsky(pair)
+
+
+def _level(vs: VerblunskySequence, level: int, tol: float) -> ZeroSet:
+    """Level k of the ladder from the (k+1)x(k+1) CMV matrix closed by conj(tau_k)."""
+    theta = para_orthogonal_angles(vs.alpha[:level], vs.tau[level].conjugate())
+    x = np.cos(0.5 * theta)
+    if level > 1 and float(np.min(-np.diff(x))) < 10.0 * tol:
+        warnings.warn(f"level {level} has zeros closer than {10.0 * tol:g}", ClusterWarning)
+    return ZeroSet(n=level, x=x, theta=theta)
 
 
 def _check_interlacing(lower: np.ndarray, upper: np.ndarray, level: int) -> None:
@@ -83,7 +93,8 @@ def _check_interlacing(lower: np.ndarray, upper: np.ndarray, level: int) -> None
 
 
 def w_zeros(pair: SequencePair, n: int, tol: float = DEFAULT_TOL) -> ZeroSet:
-    return zero_ladder(pair, n, tol)[-1]
+    """Level n of the ladder alone, without the levels below it."""
+    return _level(_verblunsky(pair, n), n, tol)
 
 
 @dataclass(frozen=True)

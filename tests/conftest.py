@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from opuckit import make_pair
+from opuckit import make_pair, pair_to_verblunsky
 
 
 def random_pair(rng, n, c_scale=0.5, m_lo=0.2, m_hi=0.8):
@@ -21,6 +21,17 @@ def random_alpha(rng, n, radius=0.85):
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, n))
     phi = rng.uniform(0.0, 2.0 * np.pi, n)
     return tuple(r * np.exp(1j * phi))
+
+
+def alternating_alpha(rng, p, c_lo, c_hi, m_lo, m_hi):
+    """One period of the paper's blocks: c_{2n} = -c_{2n-1} = c~_n with c~ and
+    m uniform on the given ranges, mapped to alpha_0..alpha_{p-1}."""
+    tilde = rng.uniform(c_lo, c_hi, p // 2)
+    c = np.empty(p)
+    c[0::2] = -tilde
+    c[1::2] = tilde
+    m = np.concatenate([[0.0], rng.uniform(m_lo, m_hi, p)])
+    return pair_to_verblunsky(make_pair(c, m=m)).alpha
 
 
 @pytest.fixture

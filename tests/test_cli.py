@@ -346,11 +346,14 @@ def test_check_command(capsys):
 
 
 def test_import_leaves_scipy_solvers_unloaded():
-    # quad and minimize_scalar are imported by the functions that call them,
-    # so a command that needs neither does not pay for loading them
+    # quad and schur are imported by the functions that call them, so a
+    # command that needs neither does not pay for loading them; band edges and
+    # candidates need only numpy.linalg.eigvals
     probe = (
-        "import sys, opuckit.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        "import sys, opuckit.cli, opuckit; "
+        "opuckit.full_spectrum([0.5 * (-1) ** k + 0.05j * k for k in range(16)]); "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg') "
+        "if m in sys.modules))"
     )
     src = str(Path(opuckit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)

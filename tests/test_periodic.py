@@ -1,6 +1,7 @@
 """Spectral machinery for periodic reflection coefficients."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,11 +25,41 @@ from opuckit.errors import (
     DenominatorVanished,
     HypothesisViolated,
     InvalidParameters,
+    NonRealDiscriminant,
     NotACandidate,
     OffBand,
 )
+from conftest import alternating_alpha, random_alpha
 
 TWO_PI = 2.0 * math.pi
+EPS = sys.float_info.epsilon
+
+
+def transfer_rounding(alpha):
+    """16 p eps prod_j (1 + |alpha_j|)/rho_j, the rounding bound of the transfer product."""
+    norm = math.prod((1 + abs(a)) / math.sqrt(1 - abs(a) ** 2) for a in alpha)
+    return 16 * len(alpha) * EPS * norm
+
+
+def assert_bands_match_discriminant(alpha, spec):
+    """p bands with p edges per sign, Delta = 2 sign at every edge, and the
+    bands covering exactly the sampled angles where |Delta| < 2."""
+    p = len(alpha)
+    bound = transfer_rounding(alpha)
+    assert len(spec.bands) == p
+    assert len(spec.plus_solutions) == p and len(spec.minus_solutions) == p
+    assert np.all(np.abs(discriminant(alpha, spec.plus_solutions) - 2.0) <= bound)
+    assert np.all(np.abs(discriminant(alpha, spec.minus_solutions) + 2.0) <= bound)
+    for band in spec.bands:
+        edges = discriminant(alpha, [band.lo, band.hi])
+        assert np.all(np.abs(edges - 2.0 * np.array([band.lo_sign, band.hi_sign])) <= bound)
+    theta = np.linspace(0.0, TWO_PI, 64 * p, endpoint=False)
+    delta = np.abs(discriminant(alpha, theta))
+    inside = np.zeros(theta.size, dtype=bool)
+    for band in spec.bands:
+        inside |= np.mod(theta - band.lo, TWO_PI) <= band.hi - band.lo
+    assert not np.any((delta < 2.0 - bound) & ~inside)
+    assert not np.any((delta > 2.0 + bound) & inside)
 
 
 def test_transfer_matrix_determinant():
@@ -74,6 +105,13 @@ def test_discriminant_validation():
         discriminant((), 0.0)
     with pytest.raises(InvalidParameters):
         discriminant((1.0,), 0.0)
+
+
+def test_discriminant_overflow_is_numerics_error():
+    # 1200 steps in a gap overflow the transfer product; the NaN trace must
+    # fail the realness check, not pass as a value with |Delta| >= 2
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonRealDiscriminant):
+        discriminant((0.97,) * 1200, 1.0)
 
 
 def test_band_structure_free_case():
@@ -193,6 +231,50 @@ def test_band_and_gap_angles_cover_circle():
     total = sum(b.hi - b.lo for b in spec.bands)
     total += sum(g.hi - g.lo for g in open_gaps)
     assert abs(total - TWO_PI) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "alpha, touching",
+    [((0.0, 0.0), (0.0, math.pi)), ((0.5j, 0.0, 0.5j, 0.0), (0.5 * math.pi, 1.5 * math.pi))],
+)
+def test_interior_closed_gaps(alpha, touching):
+    # each touching point is a double eigenvalue of one Floquet matrix
+    spec = band_structure(alpha)
+    closed = [g for g in spec.gaps if g.closed]
+    assert len(closed) == 2
+    assert all(g.lo == g.hi for g in closed)
+    assert np.allclose([g.lo for g in closed], touching, rtol=0.0, atol=1e-12)
+    assert_bands_match_discriminant(alpha, spec)
+
+
+def test_odd_period_band_through_branch_cut():
+    # the last band runs through angle 0; with Delta(theta + 2 pi) = -Delta(theta)
+    # its upper edge is reported at raw angle above 2 pi, which keeps p
+    # solutions per sign (a scan over raw [0, 2 pi] counts 6 and 4)
+    alpha = random_alpha(np.random.default_rng(20), 5)
+    spec = full_spectrum(alpha)
+    assert spec.bands[-1].hi > TWO_PI
+    assert_bands_match_discriminant(alpha, spec)
+    assert len(spec.candidates) == 5
+
+
+def test_fast_turning_candidates_at_period_16():
+    # tau_16 turns about 8e6 rad/rad at a candidate of this block, so a
+    # candidate located to 1e-12 in angle misses |tau_p(w) - 1| <= 1e-6
+    alpha = alternating_alpha(np.random.default_rng(1312), 16, 0.2, 1.0, 0.3, 0.7)
+    spec = full_spectrum(alpha)
+    assert len(spec.candidates) == 16
+    assert max(abs(tau_w(alpha, w)[-1] - 1.0) for w in spec.candidates) <= 1e-6
+    assert_bands_match_discriminant(alpha, spec)
+
+
+def test_discriminant_bound_at_period_32():
+    # the transfer entries reach 3e10 here while Delta near a band edge is 2,
+    # so the imaginary rounding must be measured against the entries
+    alpha = alternating_alpha(np.random.default_rng(0), 32, 0.2, 1.5, 0.2, 0.8)
+    discriminant(alpha, np.linspace(0.0, TWO_PI, 4096 * 32))
+    spec = band_structure(alpha)
+    assert_bands_match_discriminant(alpha, spec)
 
 
 def test_is_periodic_pair_true_and_false(rng):

@@ -102,14 +102,26 @@ def test_cluster_warning_for_nearby_pair():
     pair = make_pair([0.0, 0.0], d=[0.5, 1e-8])
     with pytest.warns(ClusterWarning):
         zero_ladder(pair, 2, tol=1e-3)
+    with pytest.warns(ClusterWarning):
+        w_zeros(pair, 2, tol=1e-3)
 
 
 def test_ladder_validation(rng):
     pair = random_pair(rng, 3)
-    with pytest.raises(InvalidParameters):
-        zero_ladder(pair, 0)
-    with pytest.raises(InvalidParameters):
-        zero_ladder(pair, 4)
+    for fn in (zero_ladder, w_zeros):
+        with pytest.raises(InvalidParameters):
+            fn(pair, 0)
+        with pytest.raises(InvalidParameters):
+            fn(pair, 4)
+
+
+def test_w_zeros_is_top_of_ladder(rng):
+    # w_zeros solves level n alone; it must agree bit for bit with the ladder
+    pair = random_pair(rng, 40)
+    top = zero_ladder(pair, 40)[-1]
+    zs = w_zeros(pair, 40)
+    assert zs.n == top.n == 40
+    assert np.array_equal(zs.x, top.x) and np.array_equal(zs.theta, top.theta)
 
 
 def test_support_gap_alternating(rng):
