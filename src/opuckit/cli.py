@@ -251,6 +251,7 @@ def cmd_periodic(args) -> int:
                 "ac_mass": float(norm["ac_mass"]),
                 "point_mass": float(norm["point_mass"]),
                 "total": float(norm["total"]),
+                "ac_error": float(norm["ac_error"]),
             },
         },
     )
@@ -369,6 +370,7 @@ def cmd_demo(args) -> int:
                 "ac_mass": float(norm["ac_mass"]),
                 "point_mass": float(norm["point_mass"]),
                 "total": float(norm["total"]),
+                "ac_error": float(norm["ac_error"]),
             },
         },
     )

@@ -20,12 +20,13 @@ accumulator, so ratios such as Q_n / R_n' are scale-free.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bijection import SequencePair
-from .errors import InvalidParameters
+from .errors import InvalidParameters, NumericsError
 
 __all__ = [
     "SzegoState",
@@ -50,12 +51,25 @@ DEFAULT_MAX_STORED = 64
 _RESCALE_EVERY = 8
 _RESCALE_LIMIT = 2.0**400
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 def kappa_from_alpha(alpha) -> float:
-    """Leading coefficient kappa_n of the orthonormal Szego polynomial."""
+    """Leading coefficient kappa_n of the orthonormal Szego polynomial.
+
+    InvalidParameters for a coefficient of modulus >= 1 (or NaN);
+    NumericsError, naming the index, when the product of the 1/rho_j passes
+    the largest float.
+    """
     acc = 0.0
-    for a in alpha:
+    for k, a in enumerate(alpha):
+        if not abs(a) < 1.0:
+            raise InvalidParameters(f"alpha[{k}] = {a!r} must have modulus < 1")
         acc -= 0.5 * math.log1p(-abs(a) ** 2)
+        if acc > _LOG_FLOAT_MAX:
+            raise NumericsError(
+                f"kappa overflows at alpha[{k}] = {a!r}: log kappa_{k + 1} = {acc!r}"
+            )
     return math.exp(acc)
 
 

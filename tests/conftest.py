@@ -34,6 +34,14 @@ def alternating_alpha(rng, p, c_lo, c_hi, m_lo, m_hi):
     return pair_to_verblunsky(make_pair(c, m=m)).alpha
 
 
+def normalization_bound(report, spectrum):
+    """What |total - 1| of normalization_report may reach: the band integrals'
+    error estimate plus 16 p eps of rounding for each point mass (p steps of
+    the tau recursion, the constant of the transfer-product bound)."""
+    eps = np.finfo(float).eps
+    return report["ac_error"] + 16 * spectrum.p * eps * len(spectrum.pure_points)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240824)

@@ -15,6 +15,7 @@ import opuckit
 from opuckit.cli import main
 
 PAIR_TWO = '{"c": [0, 0], "d": [0.5, 0.25]}'
+EPS = sys.float_info.epsilon
 
 
 def run(capsys, argv):
@@ -175,7 +176,11 @@ def test_periodic_single(capsys):
     assert abs(doc["bands"][0]["lo"] - math.pi / 3.0) < 1e-9
     assert doc["pure_points"][0]["theta"] == 0
     assert abs(doc["pure_points"][0]["mass"] - 2.0 / 3.0) < 1e-10
-    assert abs(doc["normalization"]["total"] - 1.0) < 1e-5
+    # the band integrals' estimate plus 16 p eps of rounding for the one mass
+    norm = doc["normalization"]
+    assert set(norm) == {"ac_mass", "point_mass", "total", "ac_error"}
+    assert 0.0 < norm["ac_error"] <= 1e-12
+    assert abs(norm["total"] - 1.0) <= norm["ac_error"] + 16 * EPS
 
 
 def test_periodic_p_prefix(capsys):
@@ -248,7 +253,9 @@ def test_demo_reference(capsys):
     assert abs(points[1]["theta"] - 1.5 * math.pi) < 1e-12
     assert abs(points[1]["mass"] - 2.0 / 15.0) < 1e-12
     assert len(doc["band_edges"]) == 4
-    assert abs(doc["normalization"]["total"] - 1.0) < 1e-3
+    norm = doc["normalization"]
+    assert set(norm) == {"ac_mass", "point_mass", "total", "ac_error"}
+    assert abs(norm["total"] - 1.0) <= norm["ac_error"] + 2 * 16 * 2 * EPS
 
 
 def test_input_from_file(capsys, tmp_path):
@@ -346,12 +353,13 @@ def test_check_command(capsys):
 
 
 def test_import_leaves_scipy_solvers_unloaded():
-    # quad and schur are imported by the functions that call them, so a
-    # command that needs neither does not pay for loading them; band edges and
-    # candidates need only numpy.linalg.eigvals
+    # schur is imported by the function that calls it, so a command that does
+    # not need it does not pay for loading it; band edges and candidates need
+    # only numpy.linalg.eigvals and the band integrals only numpy
     probe = (
         "import sys, opuckit.cli, opuckit; "
-        "opuckit.full_spectrum([0.5 * (-1) ** k + 0.05j * k for k in range(16)]); "
+        "alpha = [0.5 * (-1) ** k + 0.05j * k for k in range(16)]; "
+        "opuckit.normalization_report(alpha, opuckit.full_spectrum(alpha)); "
         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.linalg') "
         "if m in sys.modules))"
     )

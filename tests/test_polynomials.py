@@ -17,7 +17,7 @@ from opuckit import (
     w_eval,
     w_from_r_check,
 )
-from opuckit.errors import InvalidParameters
+from opuckit.errors import InvalidParameters, NumericsError
 from opuckit.polynomials import eval_poly, self_inversive_defect, w_eval_scaled
 from conftest import random_pair
 
@@ -163,6 +163,20 @@ def test_szego_coeffs_match_values(rng):
 
 def test_kappa_single():
     assert abs(kappa_from_alpha([0.5]) - 2.0 / math.sqrt(3.0)) < 1e-15
+
+
+def test_kappa_overflow_names_index():
+    # each 0.97 adds -log(1 - 0.97^2)/2 = 1.41 to log kappa, past log(max float)
+    # = 709.78 at the 502nd coefficient
+    with pytest.raises(NumericsError, match=r"alpha\[501\]"):
+        kappa_from_alpha([0.97] * 2000)
+    assert math.isfinite(kappa_from_alpha([0.97] * 501))
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5j, float("nan")])
+def test_kappa_rejects_coefficients_off_the_disk(bad):
+    with pytest.raises(InvalidParameters, match=r"alpha\[1\]"):
+        kappa_from_alpha([0.5, bad])
 
 
 def test_r_via_szego_prefactor(rng):
