@@ -53,7 +53,6 @@ from .periodic import (
     normalization_report,
     parallel_lines_check,
     pure_point_mass,
-    tau_w,
     transfer_matrix,
     transfer_product,
 )

@@ -13,11 +13,11 @@ solutions of Delta = +-2).  The essential support is the p bands where
 (closed gaps).  The band edges are the eigenvalues of the unitary Floquet CMV
 matrices E(+1) and E(-1) (see cmv), and a touching point is a double
 eigenvalue.  Point masses can only sit at the p zeros of
-pi(z) = phi_p*(z) - phi_p(z), equivalently where tau_p(w) = 1, which are the
-eigenvalues of a p x p CMV matrix; each candidate carries mass
-1/(1 + sum of tail products) when the product of one period's factors q_j is
-< 1, and no mass otherwise.  On band interiors the absolutely continuous
-weight is
+pi(z) = phi_p*(z) - phi_p(z), which are the eigenvalues of a p x p CMV
+matrix; the same eigendecomposition gives each candidate's mass from two
+entries of its eigenvector (see _candidates), and mass_series sums the
+defining series along the tau recursion as a second, independent route.  On
+band interiors the absolutely continuous weight is
 
     w(theta) = sqrt(4 - Delta^2) / (2 |Im(e^{-i p theta/2} phi_p_on(e^{i theta}))|)
 
@@ -68,7 +68,6 @@ __all__ = [
     "discriminant",
     "band_structure",
     "gap_candidates",
-    "tau_w",
     "pure_point_mass",
     "mass_series",
     "ac_weight",
@@ -292,110 +291,90 @@ def _h_values(alpha, theta):
     return (np.exp(-0.5j * p * t) * st.phi).imag
 
 
-def _pi_defect(alpha, z) -> float:
-    st = szego_eval(alpha, np.asarray(complex(z)))
-    num = abs(complex(st.phi_star) - complex(st.phi))
-    return num / max(1.0, abs(complex(st.phi)), abs(complex(st.phi_star)))
-
-
-def gap_candidates(alpha, defect_tol: float = 1e-6):
-    """The p circle zeros of pi(z) = phi_p*(z) - phi_p(z), as (z, theta) lists.
+def _candidates(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Angles of the p candidates, ascending in [0, 2 pi], and their masses (0
+    where there is none), from one eigendecomposition.
 
     pi = -(1 + alpha_{p-1}) (z phi_{p-1} - conj(beta) phi_{p-1}*) with
-    beta = (1 + alpha_{p-1})/(1 + conj(alpha_{p-1})), so the zeros are the
-    eigenvalues of the CMV matrix of alpha_0..alpha_{p-2} closed by beta.
-    Each is verified against pi directly; thetas ascend in [0, 2 pi].
+    beta = (1 + alpha_{p-1})/(1 + conj(alpha_{p-1})), so the candidates z_j
+    are the eigenvalues of C, the CMV matrix of alpha_0..alpha_{p-2} closed by
+    beta (Cantero-Moral-Velazquez, LAA 362 (2003); Simon, OPUC vol. 1
+    sections 4.1-4.2).  A unit eigenvector of C has
+    |V[k, j]|^2 = lambda_j |phi_k(z_j)|^2 with orthonormal phi_k and the
+    Christoffel weight lambda_j = 1/sum_{k<p} |phi_k(z_j)|^2.
+
+    Along the tau recursion of mass_series, tau_k = phi_k/phi_k* and
+    q_0 ... q_{k-1} = |phi_k(w)|^2, so the mass gamma/(gamma + delta), with
+    gamma = 1 - P, P = q_0 ... q_{p-1} and delta the sum of the partial
+    products q_0 ... q_{k-1}, k = 1..p, is (1 - P) lambda_j, since
+    gamma + delta = 1 + sum_{0<k<p} |phi_k(z_j)|^2 = 1/lambda_j.  At a candidate
+    z_j tau_{p-1} = conj(beta), so q_{p-1} = rho_{p-1}^2 / |1 + alpha_{p-1}|^2
+    and P = |phi_{p-1}(z_j)|^2 q_{p-1}, which gives, for every p,
+
+        mass_j = |V[0, j]|^2 - |V[p-1, j]|^2 (1 - |alpha_{p-1}|^2) / |1 + alpha_{p-1}|^2.
+
+    A mass exists when it exceeds 16 p eps, the rounding of the eigenvector
+    weights.  The output is checked instead of the input: every eigenpair must
+    have residual |C v - z v| and ||z| - 1| within the eigensolver's backward
+    error 64 p eps (C is unitary), InternalInvariant otherwise.
     """
-    alpha = _check_alpha(alpha)
+    p = len(alpha)
     a = alpha[-1]
-    z = np.linalg.eigvals(cmv_matrix(alpha[:-1], (1.0 + a) / (1.0 + a.conjugate())))
-    thetas = tuple(sorted(float(t) for t in np.mod(np.angle(z), TWO_PI)))
-    zs = []
-    for th in thetas:
-        z = cmath.exp(1j * th)
-        defect = _pi_defect(alpha, z)
-        if not defect <= defect_tol:
-            raise InternalInvariant(f"candidate theta = {th!r} has pi-defect {defect!r}")
-        zs.append(z)
-    return tuple(zs), thetas
+    cmv = cmv_matrix(alpha[:-1], (1.0 + a) / (1.0 + a.conjugate()))
+    z, v = np.linalg.eig(cmv)
+    bound = 64.0 * p * _EPS
+    residual = np.linalg.norm(cmv @ v - v * z, axis=0)
+    off_circle = np.abs(np.abs(z) - 1.0)
+    for name, values in (("eigen-residual", residual), ("||z| - 1|", off_circle)):
+        if not values.max() <= bound:
+            j = int(np.argmin(values <= bound))
+            raise InternalInvariant(
+                f"candidate {j} (z = {complex(z[j])!r}) has {name} {float(values[j])!r}"
+                f" above {bound!r}"
+            )
+    mass = np.abs(v[0]) ** 2 - np.abs(v[-1]) ** 2 * ((1.0 - abs(a) ** 2) / abs(1.0 + a) ** 2)
+    mass = np.where(mass > 16.0 * p * _EPS, mass, 0.0)
+    theta = np.mod(np.angle(z), TWO_PI)
+    order = np.argsort(theta)
+    return theta[order], mass[order]
+
+
+def gap_candidates(alpha):
+    """The p circle zeros of pi(z) = phi_p*(z) - phi_p(z), as (z, theta)
+    tuples with thetas ascending in [0, 2 pi]; see _candidates."""
+    alpha = _check_alpha(alpha)
+    thetas = _candidates(alpha)[0]
+    return tuple(np.exp(1j * thetas).tolist()), tuple(thetas.tolist())
 
 
 # ------------------ point masses ------------------ #
 
 
-def tau_w(alpha, w: complex, n: int | None = None) -> np.ndarray:
-    """tau_0..tau_n at w for the periodically extended coefficients.
+def pure_point_mass(alpha, w: complex) -> float | None:
+    """Mass at the candidate nearest w, or None when it carries none.
 
-    tau_{j+1} = (w tau_j - conj(a_j)) / (1 - w tau_j a_j); unimodular when
-    |w| = 1, which is required of the input.
+    w must be within 64 p eps of a candidate (NotACandidate otherwise); the
+    mass is the one full_spectrum reports there (see _candidates).
     """
     alpha = _check_alpha(alpha)
-    w = complex(w)
-    if abs(abs(w) - 1.0) > 1e-9:
-        raise InvalidParameters(f"w = {w!r} must lie on the unit circle")
-    p = len(alpha)
-    if n is None:
-        n = p
-    out = np.empty(n + 1, dtype=complex)
-    t = 1.0 + 0.0j
-    out[0] = t
-    for j in range(n):
-        a = alpha[j % p]
-        den = 1.0 - w * t * a
-        if abs(den) < 1e-14:
-            raise DenominatorVanished(f"1 - w tau_{j} alpha_{j} = {den!r}")
-        t = (w * t - a.conjugate()) / den
-        if (j + 1) % RENORM_EVERY == 0:
-            t /= abs(t)
-        out[j + 1] = t
-    return out
-
-
-def _q_factors(alpha, w: complex, taus) -> list[float]:
-    return [
-        abs(1.0 - w * taus[j] * alpha[j]) ** 2 / (1.0 - abs(alpha[j]) ** 2)
-        for j in range(len(alpha))
-    ]
-
-
-def pure_point_mass(
-    alpha,
-    w: complex,
-    candidate_tol: float = 1e-8,
-    margin: float = 1e-12,
-) -> float | None:
-    """Mass at a candidate w, or None when the defining series diverges.
-
-    Requires tau_p(w) = 1 within candidate_tol (NotACandidate otherwise).
-    With q_j = |1 - w tau_{j-1} alpha_{j-1}|^2 / (1 - |alpha_{j-1}|^2) over one
-    period, the mass is gamma/(gamma + delta), gamma = 1 - prod q_j,
-    delta = sum_n prod_{j<=n} q_j; prod q_j >= 1 - margin means no pure point
-    (margin absorbs round-off at the existence boundary).
-    """
-    alpha = _check_alpha(alpha)
-    p = len(alpha)
-    taus = tau_w(alpha, w, p)
-    if abs(taus[p] - 1.0) > candidate_tol:
+    thetas, masses = _candidates(alpha)
+    dist = np.abs(np.exp(1j * thetas) - complex(w))
+    j = int(np.argmin(dist))
+    bound = 64.0 * len(alpha) * _EPS
+    if not dist[j] <= bound:
         raise NotACandidate(
-            f"tau_p(w) = {taus[p]!r} differs from 1 by more than {candidate_tol!r}"
+            f"w = {w!r} is {float(dist[j])!r} from the nearest candidate, above {bound!r}"
         )
-    q = _q_factors(alpha, w, taus)
-    prod_q = 1.0
-    delta = 0.0
-    for qj in q:
-        prod_q *= qj
-        delta += prod_q
-    if prod_q >= 1.0 - margin:
-        return None
-    gamma = 1.0 - prod_q
-    return gamma / (gamma + delta)
+    return float(masses[j]) if masses[j] > 0.0 else None
 
 
 def mass_series(alpha, w: complex, n_terms: int, stop_tol: float = 1e-14) -> float:
-    """Independent truncated-series route: 1/(1 + sum_{n<=N} prod_{j<=n} q_j).
+    """Independent truncated-series route: 1/(1 + sum_{n<=N} prod_{j<=n} q_j),
+    q_j = |1 - w tau_j alpha_j|^2 / (1 - |alpha_j|^2) along the recursion
+    tau_{j+1} = (w tau_j - conj(alpha_j)) / (1 - w tau_j alpha_j), tau_0 = 1.
 
-    Recomputes tau_j(w) term by term without using the one-period closed form;
-    meaningful as a cross-check when the period product of q_j is below 1.
+    Uses neither the eigenvectors nor the one-period closed form; meaningful
+    as a cross-check when the period product of q_j is below 1.
 
     When a mass exists, tau = 1 is a repelling fixed point of the one-period
     Moebius map (its multiplier is the reciprocal of the period product), so
@@ -626,24 +605,26 @@ def _ac_integral(alpha, spectrum: PeriodicSpectrum) -> tuple[float, float]:
     return float(np.sum(val)), float(np.sum(err) + np.sum(rounding))
 
 
-def full_spectrum(alpha, candidate_tol: float = 1e-6) -> PeriodicSpectrum:
+def full_spectrum(alpha) -> PeriodicSpectrum:
     """Bands, gaps, candidates and confirmed pure points in one report."""
+    alpha = _check_alpha(alpha)
     spec = band_structure(alpha)
-    zs, thetas = gap_candidates(alpha)
-    points = []
-    for z, th in zip(zs, thetas):
-        mass = pure_point_mass(alpha, z, candidate_tol=candidate_tol)
-        if mass is not None:
-            points.append(PurePoint(w=z, theta=th, mass=mass))
+    thetas, masses = _candidates(alpha)
+    zs = np.exp(1j * thetas).tolist()
+    thetas = thetas.tolist()
     return PeriodicSpectrum(
         p=spec.p,
         plus_solutions=spec.plus_solutions,
         minus_solutions=spec.minus_solutions,
         bands=spec.bands,
         gaps=spec.gaps,
-        candidates=zs,
-        candidate_thetas=thetas,
-        pure_points=tuple(points),
+        candidates=tuple(zs),
+        candidate_thetas=tuple(thetas),
+        pure_points=tuple(
+            PurePoint(w=z, theta=th, mass=float(m))
+            for z, th, m in zip(zs, thetas, masses)
+            if m > 0.0
+        ),
     )
 
 

@@ -14,7 +14,7 @@ coefficients alpha_n:
 
 Coefficient arrays are stored only up to a degree cap; beyond it the value
 recurrences apply per-step power-of-two rescaling with a shared exponent
-accumulator, so ratios such as Q_n / R_n' are scale-free.
+accumulator.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class SzegoState:
     n: int
     phi: np.ndarray
     phi_star: np.ndarray
-    kappa: float
 
 
 def szego_eval(alpha, z) -> SzegoState:
@@ -91,9 +90,7 @@ def szego_eval(alpha, z) -> SzegoState:
     for a in alpha:
         zphi = z * phi
         phi, star = zphi - np.conj(a) * star, star - a * zphi
-    return SzegoState(
-        n=len(tuple(alpha)), phi=phi, phi_star=star, kappa=kappa_from_alpha(alpha)
-    )
+    return SzegoState(n=len(tuple(alpha)), phi=phi, phi_star=star)
 
 
 def szego_coeffs(alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -177,8 +174,6 @@ class RQValues:
     """Scaled values at common points: true value = field * 2**exp2."""
 
     r: np.ndarray
-    r_prime: np.ndarray
-    q: np.ndarray
     exp2: int
 
 
@@ -194,35 +189,23 @@ def _common_rescale(arrays: list[np.ndarray], exp2: int) -> int:
 
 
 def rq_eval(pair: SequencePair, n: int, z) -> RQValues:
-    """Evaluate R_n, R_n' and Q_n at z under one shared exponent."""
+    """Evaluate R_n at z under a shared power-of-two exponent."""
     _check_degree(pair, n, None)
     z = np.asarray(z, dtype=complex)
     shape = z.shape
     z = np.atleast_1d(z)
     r0 = np.ones_like(z)
-    rp0 = np.zeros_like(z)
-    q0 = np.zeros_like(z)
     if n == 0:
-        return RQValues(r=r0.reshape(shape), r_prime=rp0.reshape(shape),
-                        q=q0.reshape(shape), exp2=0)
-    c1, d1 = pair.c[0], pair.d[0]
+        return RQValues(r=r0.reshape(shape), exp2=0)
+    c1 = pair.c[0]
     r1 = (1.0 + 1j * c1) * z + (1.0 - 1j * c1)
-    rp1 = np.full_like(z, 1.0 + 1j * c1)
-    q1 = np.full_like(z, 2.0 * d1)
     exp2 = 0
     for k in range(2, n + 1):
         ck, dk = pair.c[k - 1], pair.d[k - 1]
-        a_lin = 1.0 + 1j * ck
-        A = a_lin * z + (1.0 - 1j * ck)
-        B = (4.0 * dk) * z
-        r2 = A * r1 - B * r0
-        rp2 = a_lin * r1 + A * rp1 - 4.0 * dk * (r0 + z * rp0)
-        q2 = A * q1 - B * q0
-        r0, r1, rp0, rp1, q0, q1 = r1, r2, rp1, rp2, q1, q2
+        r0, r1 = r1, ((1.0 + 1j * ck) * z + (1.0 - 1j * ck)) * r1 - (4.0 * dk) * z * r0
         if k % _RESCALE_EVERY == 0:
-            exp2 = _common_rescale([r0, r1, rp0, rp1, q0, q1], exp2)
-    return RQValues(r=r1.reshape(shape), r_prime=rp1.reshape(shape),
-                    q=q1.reshape(shape), exp2=exp2)
+            exp2 = _common_rescale([r0, r1], exp2)
+    return RQValues(r=r1.reshape(shape), exp2=exp2)
 
 
 def w_eval_scaled(pair: SequencePair, n: int, x) -> tuple[np.ndarray, int]:

@@ -147,10 +147,34 @@ def check_period_two_normalization() -> str:
     spec = periodic.full_spectrum(alpha)
     rep = periodic.normalization_report(alpha, spec)
     defect = abs(rep["total"] - 1.0)
-    # the band integrals' estimate plus 16 p eps of rounding per point mass
+    # the band integrals' estimate plus 16 p eps per point mass: a mass is a
+    # difference of two squared entries of a unit eigenvector, whose error is
+    # the eigen-residual (below p eps in practice) over the distance to the
+    # next candidate
     bound = rep["ac_error"] + 16 * len(alpha) * _EPS * len(spec.pure_points)
     _require(defect <= bound, f"normalization defect {defect!r} exceeds {bound!r}")
     return f"total {rep['total']:.15f}, defect {defect:.1e} <= {bound:.1e}"
+
+
+def check_periodic_support_gap() -> str:
+    """The paper's gap theorem on a periodic spectrum: with
+    c_{2n} = -c_{2n-1} = c~_n >= c > 0, no band and no pure point enters
+    |cos(theta/2)| < g = c / sqrt(1 + c^2), to the eigensolver's 64 p eps.
+    With c~ = 1 (g = 1/sqrt(2)) and these m a band edge sits on the bound,
+    so the check is sharp."""
+    rng = np.random.default_rng(17)
+    p = 8
+    c = np.tile([-1.0, 1.0], p // 2)
+    m = np.concatenate([[0.0], rng.uniform(0.1, 0.9, p)])
+    spec = periodic.full_spectrum(pair_to_verblunsky(make_pair(c, m=m)).alpha)
+    angles = [pp.theta for pp in spec.pure_points]
+    for band in spec.bands:
+        angles += [band.lo, band.hi]
+        if (math.pi - band.lo) % (2.0 * math.pi) <= band.hi - band.lo:
+            angles.append(math.pi)
+    dist = min(abs(math.cos(0.5 * t)) for t in angles) - math.sqrt(0.5)
+    _require(dist >= -64.0 * p * _EPS, f"support enters the gap by {-dist!r}")
+    return f"min |cos(theta/2)| - g = {dist:.3e}"
 
 
 def check_unfolding() -> str:
@@ -202,6 +226,7 @@ _CHECKS = [
     ("period_two_discriminant", check_period_two_discriminant),
     ("period_two_masses", check_period_two_masses),
     ("period_two_normalization", check_period_two_normalization),
+    ("periodic_support_gap", check_periodic_support_gap),
     ("unfolding_consistency", check_unfolding),
     ("conjugate_zero_symmetry", check_conjugate_symmetry),
     ("periodicity_report", check_periodicity_report),

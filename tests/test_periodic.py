@@ -3,8 +3,11 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opuckit import (
     ac_weight,
@@ -16,14 +19,12 @@ from opuckit import (
     normalization_report,
     parallel_lines_check,
     pure_point_mass,
-    tau_w,
     transfer_matrix,
     transfer_product,
     verblunsky_to_pair,
 )
 from opuckit import periodic
 from opuckit.errors import (
-    DenominatorVanished,
     HypothesisViolated,
     InternalInvariant,
     InvalidParameters,
@@ -33,7 +34,7 @@ from opuckit.errors import (
     OffBand,
 )
 from opuckit.period_two import PeriodTwoParams, family_alpha
-from conftest import alternating_alpha, normalization_bound, random_alpha
+from conftest import alternating_alpha, alternating_block, normalization_bound, random_alpha
 
 TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
@@ -168,18 +169,6 @@ def test_mass_series_agreement():
     assert abs(closed - series) < 1e-10
 
 
-def test_tau_w_free_case():
-    taus = tau_w((0.0,), 1j, 4)
-    assert np.allclose(taus, [1.0, 1j, -1.0, -1j, 1.0], atol=1e-14)
-
-
-def test_tau_w_validation():
-    with pytest.raises(InvalidParameters):
-        tau_w((0.5,), 0.9)
-    with pytest.raises(DenominatorVanished):
-        tau_w((1.0 - 5e-15,), 1.0)
-
-
 def test_not_a_candidate():
     # tau_1(-1) = (-1 - 1/2)/(1 + 1/2) = -1, far from 1
     with pytest.raises(NotACandidate):
@@ -270,8 +259,90 @@ def test_fast_turning_candidates_at_period_16():
     alpha = alternating_alpha(np.random.default_rng(1312), 16, 0.2, 1.0, 0.3, 0.7)
     spec = full_spectrum(alpha)
     assert len(spec.candidates) == 16
-    assert max(abs(tau_w(alpha, w)[-1] - 1.0) for w in spec.candidates) <= 1e-6
     assert_bands_match_discriminant(alpha, spec)
+
+
+def mp_candidates(alpha):
+    """Reference candidates and masses at 36 digits: mpmath's eigenvalues of
+    the CMV matrix of alpha_0..alpha_{p-2} closed by
+    beta = (1 + alpha_{p-1})/(1 + conj alpha_{p-1}), built entry by entry from
+    the exact float inputs, and at each the mass gamma/(gamma + delta) of the
+    tau recursion, gamma = 1 - prod q_j, delta = sum_n prod_{j<n} q_j (0 when
+    prod q_j >= 1).  Returns (theta, mass, |tau_p - 1|) per eigenvalue."""
+    with mpmath.mp.workdps(36):
+        a = [mpmath.mpc(x.real, x.imag) for x in alpha]
+        p = len(a)
+        beta = (1 + a[-1]) / (1 + mpmath.conj(a[-1]))
+        closed = a[:-1] + [beta]
+        blocks = []
+        for first in (0, 1):
+            m = mpmath.zeros(p, p)
+            if first:
+                m[0, 0] = 1
+            for j in range(first, p, 2):
+                m[j, j] = mpmath.conj(closed[j])
+                if j < p - 1:
+                    rho = mpmath.sqrt(1 - abs(closed[j]) ** 2)
+                    m[j, j + 1] = m[j + 1, j] = rho
+                    m[j + 1, j + 1] = -closed[j]
+            blocks.append(m)
+        out = []
+        for w in mpmath.eig(blocks[0] * blocks[1], left=False, right=False):
+            w /= abs(w)
+            tau, prod_q, delta = mpmath.mpc(1), mpmath.mpf(1), mpmath.mpf(0)
+            for aj in a:
+                prod_q *= abs(1 - w * tau * aj) ** 2 / (1 - abs(aj) ** 2)
+                delta += prod_q
+                tau = (w * tau - mpmath.conj(aj)) / (1 - w * tau * aj)
+            mass = (1 - prod_q) / (1 - prod_q + delta) if prod_q < 1 else 0
+            out.append((float(mpmath.arg(w)) % TWO_PI, float(mass), float(abs(tau - 1))))
+    return out
+
+
+@pytest.mark.parametrize("p, seed", [(16, 187), (24, 0), (32, 34)])
+def test_masses_against_mpmath(p, seed):
+    # tau_p turns up to about 1e15 rad/rad at a candidate of these blocks, so
+    # |tau_p - 1| at a float candidate cannot confirm it, nor can a mass be
+    # built on tau_j there; the masses come from eigenvector entries, which
+    # do not see that turning
+    alpha = alternating_alpha(np.random.default_rng(seed), p, 0.2, 1.5, 0.2, 0.8)
+    spec = full_spectrum(alpha)
+    ref = mp_candidates(alpha)
+    assert max(r[2] for r in ref) <= 1e-9
+    masses = {pp.theta: pp.mass for pp in spec.pure_points}
+    assert len(spec.candidate_thetas) == p
+    for got in spec.candidate_thetas:
+        # a candidate at z = 1 may sit on either side of the cut
+        dist = [abs((got - theta + math.pi) % TWO_PI - math.pi) for theta, _, _ in ref]
+        j = int(np.argmin(dist))
+        assert dist[j] <= 64 * p * EPS
+        want = ref.pop(j)[1]
+        assert (got in masses) == (want > 0.0)
+        assert abs(masses.get(got, 0.0) - want) <= 16 * p * EPS
+
+
+def min_cos_half(spectrum):
+    """The smallest |cos(theta/2)| over the bands and pure points: at a band
+    edge, at theta = pi where a band contains it, or at a point."""
+    angles = [pp.theta for pp in spectrum.pure_points]
+    for band in spectrum.bands:
+        angles += [band.lo, band.hi]
+        if (math.pi - band.lo) % TWO_PI <= band.hi - band.lo:
+            angles.append(math.pi)
+    return min(abs(math.cos(0.5 * t)) for t in angles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gap_theorem_on_periodic_spectra(data):
+    # the paper: c_{2n} = -c_{2n-1} = c~_n >= c > 0 keeps the support of the
+    # measure out of |cos(theta/2)| < c / sqrt(1 + c^2), around z = -1
+    p = data.draw(st.sampled_from([2, 4, 8, 16, 24, 32]))
+    tilde = data.draw(st.lists(st.floats(0.2, 1.5), min_size=p // 2, max_size=p // 2))
+    m = data.draw(st.lists(st.floats(0.1, 0.9), min_size=p, max_size=p))
+    spec = full_spectrum(alternating_block(tilde, m))
+    c = min(tilde)
+    assert min_cos_half(spec) >= c / math.sqrt(1.0 + c * c) - 64 * p * EPS
 
 
 def test_discriminant_bound_at_period_32():
@@ -337,6 +408,14 @@ def test_normalization_at_period_16():
         report = normalization_report(alpha, spec)
         assert abs(report["total"] - 1.0) <= normalization_bound(report, spec), seed
         assert report["ac_error"] <= 1e-10
+
+
+def test_candidate_check_names_index_and_value(monkeypatch):
+    # a matrix 1% off unitary moves every eigenvalue off the circle
+    build = periodic.cmv_matrix
+    monkeypatch.setattr(periodic, "cmv_matrix", lambda alpha, beta: 1.01 * build(alpha, beta))
+    with pytest.raises(InternalInvariant, match=r"candidate 0 .* has \|\|z\| - 1\| 0\.01"):
+        full_spectrum((0.5, 0.2))
 
 
 def test_band_integrals_raise_on_nan_density(monkeypatch):

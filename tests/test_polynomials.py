@@ -77,18 +77,8 @@ def test_rq_eval_matches_coefficients(rng):
         vals = rq_eval(pair, n, z)
         scale = 2.0**vals.exp2
         r_direct = eval_poly(r_coeffs(pair, n).coeffs, z)
-        q_direct = eval_poly(q_coeffs(pair, n).coeffs, z)
-        rp_direct = eval_poly(
-            np.polynomial.polynomial.polyder(r_coeffs(pair, n).coeffs), z
-        )
         assert np.max(np.abs(vals.r * scale - r_direct)) < 1e-9 * max(
             1.0, np.max(np.abs(r_direct))
-        )
-        assert np.max(np.abs(vals.q * scale - q_direct)) < 1e-9 * max(
-            1.0, np.max(np.abs(q_direct))
-        )
-        assert np.max(np.abs(vals.r_prime * scale - rp_direct)) < 1e-9 * max(
-            1.0, np.max(np.abs(rp_direct))
         )
 
 
@@ -146,7 +136,16 @@ def test_szego_lebesgue():
     st = szego_eval([0.0, 0.0, 0.0], z)
     assert np.allclose(st.phi, z**3, atol=1e-15)
     assert np.allclose(st.phi_star, np.ones_like(z), atol=1e-15)
-    assert st.kappa == 1.0
+    assert kappa_from_alpha(()) == 1.0
+
+
+def test_szego_eval_past_kappa_overflow():
+    # kappa_600 of alpha = 0.97 passes the largest float; the monic values
+    # do not need it
+    with pytest.raises(NumericsError):
+        kappa_from_alpha([0.97] * 600)
+    st = szego_eval([0.97] * 600, 1.0)
+    assert np.isfinite(st.phi) and np.isfinite(st.phi_star)
 
 
 def test_szego_coeffs_match_values(rng):
