@@ -13,11 +13,23 @@ unimodular bookkeeping sequence tau_n is carried along:
               tau_n = tau_{n-1} (1 - conj u)/(1 - u)
 
 b_n = 1 - 2 m_n is the convenient companion of m_n in periodicity tests.
+
+The forward map is array work: tau is a cumulative product of the factors
+(1 - i c_n)/(1 + i c_n), taken one RENORM_EVERY block at a time, and the last
+tau of each full block is divided by its modulus before it seeds the next
+block, which keeps |tau_n| - 1 at rounding level however long the sequence.
+The backward map is sequential in tau, so only its recurrence is a loop; the
+checks and c, m, d and b are array expressions.
+
+A pair whose 1 - |alpha_{n-1}|^2 = 4 m_n (1 - m_n)/(1 + c_n^2) is below eps
+is rejected at construction: alpha_{n-1} would round onto the unit circle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .chain import ChainSequence, _check_finite, d_from_minimal
 from .errors import DegenerateDenominator, InvalidParameters
@@ -35,6 +47,8 @@ __all__ = [
 # is renormalized at this stride to stop drift
 RENORM_EVERY = 64
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class SequencePair:
@@ -49,7 +63,18 @@ class SequencePair:
             raise InvalidParameters(
                 f"c has length {len(self.c)}, d has length {len(self.chain.d)}"
             )
-        _check_finite(self.c, "c")
+        c = _check_finite(self.c, "c")
+        m = np.asarray(self.chain.m[1:], dtype=float)
+        # dividing twice by hypot(1, c) cannot overflow, unlike 1 + c^2
+        h = np.hypot(1.0, c)
+        inside = 4.0 * m * (1.0 - m) / h / h >= _EPS
+        if not inside.all():
+            n = int(np.argmin(inside)) + 1
+            raise InvalidParameters(
+                f"1 - |alpha_{n - 1}|^2 = 4 m_n (1 - m_n)/(1 + c_n^2) is below eps "
+                f"at n = {n} (c_n = {float(c[n - 1])!r}, m_n = {float(m[n - 1])!r}): "
+                f"alpha_{n - 1} would round onto the unit circle"
+            )
         if self.tail_period is not None:
             p = self.tail_period
             if not (isinstance(p, int) and 1 <= p <= len(self.c)):
@@ -71,7 +96,7 @@ class SequencePair:
     @property
     def b(self) -> tuple[float, ...]:
         """b_n = 1 - 2 m_n for n = 1..N."""
-        return tuple(1.0 - 2.0 * mn for mn in self.chain.m[1:])
+        return tuple((1.0 - 2.0 * np.asarray(self.chain.m[1:])).tolist())
 
     def c_at(self, n: int) -> float:
         """c_n with 1-based index, extended through the periodic tail."""
@@ -107,62 +132,66 @@ def make_pair(c, m=None, d=None, tail_period: int | None = None) -> SequencePair
     if (m is None) == (d is None):
         raise InvalidParameters("provide exactly one of m or d")
     if m is not None:
-        chain = ChainSequence.from_minimal([float(v) for v in m], tail_period)
+        chain = ChainSequence.from_minimal(m, tail_period)
     else:
-        chain = ChainSequence.from_d([float(v) for v in d], tail_period)
+        chain = ChainSequence.from_d(d, tail_period)
     return SequencePair(
-        c=tuple(float(v) for v in c), chain=chain, tail_period=tail_period
+        c=tuple(np.asarray(c, dtype=float).tolist()), chain=chain, tail_period=tail_period
     )
+
+
+def _tau(c: np.ndarray) -> np.ndarray:
+    """tau_0..tau_N for c_1..c_N, a cumulative product per RENORM_EVERY block."""
+    step = (1.0 - 1j * c) / (1.0 + 1j * c)
+    tau = np.empty(c.size + 1, dtype=complex)
+    tau[0] = t = 1.0
+    for s in range(0, c.size, RENORM_EVERY):
+        block = t * np.cumprod(step[s : s + RENORM_EVERY])
+        if block.size == RENORM_EVERY:
+            block[-1] /= abs(block[-1])
+        tau[s + 1 : s + 1 + block.size] = block
+        t = block[-1]
+    return tau
 
 
 def tau_from_c(c) -> tuple[complex, ...]:
     """tau_0 = 1, tau_n = tau_{n-1} (1 - i c_n)/(1 + i c_n); all unimodular."""
-    tau = [1.0 + 0.0j]
-    t = 1.0 + 0.0j
-    for n, cn in enumerate(c, start=1):
-        t = t * ((1.0 - 1j * cn) / (1.0 + 1j * cn))
-        if n % RENORM_EVERY == 0:
-            t /= abs(t)
-        tau.append(t)
-    return tuple(tau)
+    return tuple(_tau(np.asarray(c, dtype=float)).tolist())
 
 
 def pair_to_verblunsky(pair: SequencePair) -> VerblunskySequence:
     """Forward direction of the bijection; |alpha_n| < 1 is automatic."""
-    alpha: list[complex] = []
-    tau = [1.0 + 0.0j]
-    t = 1.0 + 0.0j
-    for n in range(1, len(pair) + 1):
-        cn = pair.c[n - 1]
-        mn = pair.m[n]
-        alpha.append(t.conjugate() * (1.0 - 2.0 * mn - 1j * cn) / (1.0 - 1j * cn))
-        t = t * ((1.0 - 1j * cn) / (1.0 + 1j * cn))
-        if n % RENORM_EVERY == 0:
-            t /= abs(t)
-        tau.append(t)
-    return VerblunskySequence(alpha=tuple(alpha), tau=tuple(tau))
+    c = np.asarray(pair.c, dtype=float)
+    m = np.asarray(pair.m[1:], dtype=float)
+    tau = _tau(c)
+    alpha = np.conj(tau[:-1]) * (1.0 - 2.0 * m - 1j * c) / (1.0 - 1j * c)
+    return VerblunskySequence(alpha=tuple(alpha.tolist()), tau=tuple(tau.tolist()))
 
 
 def verblunsky_to_pair(alpha) -> SequencePair:
     """Backward direction; recovers (c, m) and rebuilds d from m."""
-    alpha = tuple(complex(a) for a in alpha)
-    for k, a in enumerate(alpha):
-        if not abs(a) < 1.0:
-            raise InvalidParameters(f"alpha[{k}] = {a!r} must have modulus < 1")
-    c: list[float] = []
-    m: list[float] = [0.0]
+    a = np.asarray(alpha, dtype=complex).reshape(-1)
+    inside = np.abs(a) < 1.0
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise InvalidParameters(f"alpha[{k}] = {complex(a[k])!r} must have modulus < 1")
+    u = []  # u_n = tau_{n-1} alpha_{n-1}
     t = 1.0 + 0.0j
-    for n, a in enumerate(alpha, start=1):
-        u = t * a
-        denom = 1.0 - u.real
+    for n, an in enumerate(a.tolist(), start=1):
+        un = t * an
+        denom = 1.0 - un.real
         if denom <= 1e-15:
             raise DegenerateDenominator(
                 f"1 - Re(tau_{n - 1} alpha_{n - 1}) = {denom!r} at index {n - 1}"
             )
-        c.append(-u.imag / denom)
-        m.append(0.5 * abs(1.0 - u) ** 2 / denom)
-        t = t * ((1.0 - u.conjugate()) / (1.0 - u))
+        u.append(un)
+        t = t * ((1.0 - un.conjugate()) / (1.0 - un))
         if n % RENORM_EVERY == 0:
             t /= abs(t)
-    chain = ChainSequence(d=d_from_minimal(m), m=tuple(m))
-    return SequencePair(c=tuple(c), chain=chain)
+    u = np.array(u, dtype=complex)
+    denom = 1.0 - u.real
+    c = -u.imag / denom
+    # |1 - u| by the libm hypot, as Python's abs(complex) takes it
+    m = np.concatenate(([0.0], 0.5 * np.hypot(denom, u.imag) ** 2 / denom))
+    chain = ChainSequence(d=d_from_minimal(m), m=tuple(m.tolist()))
+    return SequencePair(c=tuple(c.tolist()), chain=chain)

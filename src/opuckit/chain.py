@@ -10,8 +10,9 @@ associated measure places at z = 1, so "M_0 = 0" certifies no mass there.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DivisionByZero,
@@ -30,10 +31,15 @@ __all__ = [
 ]
 
 
-def _check_finite(values, name: str) -> None:
-    for k, v in enumerate(values):
-        if not math.isfinite(v):
-            raise InvalidParameters(f"{name}[{k}] = {v!r} is not finite")
+def _check_finite(values, name: str) -> np.ndarray:
+    """values as a float array; InvalidParameters naming the first
+    non-finite entry (NaN included)."""
+    a = np.asarray(values, dtype=float)
+    finite = np.isfinite(a)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise InvalidParameters(f"{name}[{k}] = {float(a[k])!r} is not finite")
+    return a
 
 
 def minimal_parameters(d) -> tuple[float, ...]:
@@ -59,13 +65,14 @@ def d_from_minimal(m) -> tuple[float, ...]:
 
     Requires m_0 = 0 and m_n in (0, 1) for n >= 1.
     """
-    _check_finite(m, "m")
-    if len(m) == 0 or m[0] != 0.0:
+    m = _check_finite(m, "m")
+    if m.size == 0 or m[0] != 0.0:
         raise InvalidParameters("minimal parameters must start with m_0 = 0")
-    for n, mn in enumerate(m):
-        if n >= 1 and not 0.0 < mn < 1.0:
-            raise InvalidParameters(f"m[{n}] = {mn!r} outside (0, 1)")
-    return tuple((1.0 - m[n - 1]) * m[n] for n in range(1, len(m)))
+    inside = (m[1:] > 0.0) & (m[1:] < 1.0)
+    if not inside.all():
+        n = int(np.argmin(inside)) + 1
+        raise InvalidParameters(f"m[{n}] = {float(m[n])!r} outside (0, 1)")
+    return tuple(((1.0 - m[:-1]) * m[1:]).tolist())
 
 
 @dataclass(frozen=True)
@@ -95,13 +102,13 @@ class ChainSequence:
 
     @classmethod
     def from_d(cls, d, tail_period: int | None = None) -> "ChainSequence":
-        d = tuple(float(v) for v in d)
+        d = tuple(np.asarray(d, dtype=float).tolist())
         return cls(d=d, m=minimal_parameters(d), tail_period=tail_period)
 
     @classmethod
     def from_minimal(cls, m, tail_period: int | None = None) -> "ChainSequence":
-        m = tuple(float(v) for v in m)
-        return cls(d=d_from_minimal(m), m=m, tail_period=tail_period)
+        m = np.asarray(m, dtype=float)
+        return cls(d=d_from_minimal(m), m=tuple(m.tolist()), tail_period=tail_period)
 
     def __len__(self) -> int:
         return len(self.d)

@@ -110,10 +110,10 @@ def cmd_alpha2pair(args) -> int:
         {
             "meta": _meta("alpha2pair"),
             "n": len(pair),
-            "c": list(pair.c),
-            "m": list(pair.m),
-            "d": list(pair.d),
-            "b": list(pair.b),
+            "c": pair.c,
+            "m": pair.m,
+            "d": pair.d,
+            "b": pair.b,
         },
     )
     return 0
@@ -196,7 +196,7 @@ def cmd_poly(args) -> int:
     pair = _load_pair(args)
     n = _resolve_n(args, pair)
     r_levels = [[[1.0, 0.0]]]  # level 0: R_0 = 1
-    q_levels: list[list[list[float]]] = [[]]  # level 0: Q_0 = 0
+    q_levels = [[]]  # level 0: Q_0 = 0
     for k in range(1, n + 1):
         r_levels.append(complex_pairs(r_coeffs(pair, k, max_stored=n).coeffs))
         q_levels.append(complex_pairs(q_coeffs(pair, k, max_stored=n).coeffs))

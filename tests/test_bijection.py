@@ -13,6 +13,7 @@ from opuckit import (
     tau_from_c,
     verblunsky_to_pair,
 )
+from opuckit.bijection import RENORM_EVERY
 from opuckit.errors import DegenerateDenominator, InvalidParameters
 from conftest import random_alpha, random_pair
 
@@ -132,3 +133,100 @@ def test_length_validation():
         make_pair([0.0, 0.0], m=[0.0, 0.5])
     with pytest.raises(InvalidParameters):
         VerblunskySequence(alpha=(0.5 + 0.0j,), tau=(1.0 + 0.0j,))
+
+
+# ---- the scalar loops the array forms replaced, kept as references
+
+
+def ref_forward(c, m):
+    """alpha and tau one step at a time, renormalised every RENORM_EVERY."""
+    alpha, tau, t = [], [1.0 + 0.0j], 1.0 + 0.0j
+    for n in range(1, len(c) + 1):
+        cn, mn = c[n - 1], m[n]
+        alpha.append(t.conjugate() * (1.0 - 2.0 * mn - 1j * cn) / (1.0 - 1j * cn))
+        t = t * ((1.0 - 1j * cn) / (1.0 + 1j * cn))
+        if n % RENORM_EVERY == 0:
+            t /= abs(t)
+        tau.append(t)
+    return np.array(alpha), np.array(tau)
+
+
+def ref_backward(alpha):
+    """c, m, d and b from alpha with every formula evaluated on scalars."""
+    c, m, t = [], [0.0], 1.0 + 0.0j
+    for n, a in enumerate(map(complex, alpha), start=1):
+        u = t * a
+        denom = 1.0 - u.real
+        c.append(-u.imag / denom)
+        m.append(0.5 * abs(1.0 - u) ** 2 / denom)
+        t = t * ((1.0 - u.conjugate()) / (1.0 - u))
+        if n % RENORM_EVERY == 0:
+            t /= abs(t)
+    d = [(1.0 - m[n - 1]) * m[n] for n in range(1, len(m))]
+    b = [1.0 - 2.0 * mn for mn in m[1:]]
+    return tuple(np.array(v) for v in (c, m, d, b))
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "seed, n", [(1, 100_000), (2, 100_000), (3, 100_000), (4, 37), (5, 128), (6, 1000)]
+)
+def test_forward_agrees_with_scalar_loop(seed, n):
+    # tau_k is a product of k factors, each a complex division that the two
+    # routes round differently (numpy and CPython scale it differently), so
+    # the routes may part by a few eps per factor; alpha_k adds a bounded
+    # number of roundings to tau_k.  16 (k + 1) eps covers both, as in the
+    # benchmark's oracle.  n = 10^5 and 1000 end in a partial block, 37 is
+    # shorter than one block and 128 ends exactly on a renormalisation.
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.0, 1.0, n)
+    m = np.concatenate([[0.0], rng.uniform(0.2, 0.8, n)])
+    vs = pair_to_verblunsky(make_pair(c, m=m))
+    want_alpha, want_tau = ref_forward(c.tolist(), m.tolist())
+    bound = 16 * (np.arange(n + 1) + 1) * EPS
+    assert np.all(np.abs(np.array(vs.tau) - want_tau) <= bound)
+    assert np.all(np.abs(np.array(vs.alpha) - want_alpha) <= bound[:-1])
+    assert np.all(np.abs(np.abs(np.array(vs.tau)) - 1.0) <= bound)
+    assert np.array_equal(np.array(tau_from_c(c)), np.array(vs.tau))
+
+
+@pytest.mark.parametrize("seed, n", [(7, 100_000), (8, 37), (9, 1000)])
+def test_backward_agrees_with_scalar_formulas(seed, n):
+    # the t recurrence is the same scalar loop, so u and c = -Im u/(1 - Re u)
+    # are equal bit for bit.  m takes |1 - u| from the same hypot but squares
+    # it exactly where the scalar code called pow: each square is within one
+    # rounding of the true one, so m may differ by 2 eps relative before its
+    # division and 4 eps after.  d = (1 - m_{n-1}) m_n and b = 1 - 2 m_n carry
+    # those differences through one or two further roundings.
+    alpha = random_alpha(np.random.default_rng(seed), n, radius=0.95)
+    pair = verblunsky_to_pair(alpha)
+    c, m, d, b = ref_backward(alpha)
+    assert np.array_equal(np.array(pair.c), c)
+    dm = 4 * EPS * m
+    assert np.all(np.abs(np.array(pair.m) - m) <= dm)
+    dd = dm[:-1] * m[1:] + (1.0 - m[:-1]) * dm[1:] + 2 * EPS * d
+    assert np.all(np.abs(np.array(pair.d) - d) <= dd)
+    assert np.all(np.abs(np.array(pair.b) - b) <= 2 * dm[1:] + EPS)
+
+
+# ---- alpha that rounds onto the unit circle
+
+
+@pytest.mark.parametrize(
+    "c, m, n",
+    [([1e300, 0.5], [0.5, 0.5], 1), ([0.5, -1e200], [0.5, 0.5], 2), ([0.0], [1e-17], 1)],
+)
+def test_pair_rejects_alpha_on_the_circle(c, m, n):
+    with pytest.raises(InvalidParameters, match=rf"at n = {n} \(c_n = "):
+        make_pair(c, m=[0.0] + m)
+
+
+def test_pair_keeps_large_c_inside_the_disc():
+    # 1 - |alpha_0|^2 = 1/(1 + 10^14) = 1e-14, far above eps; |alpha_0| and
+    # its square carry a few roundings of size eps, and 1 - |alpha_0|^2 is
+    # exact, so it lands within 4 eps of 1e-14
+    vs = pair_to_verblunsky(make_pair([1e7, 0.5], m=[0.0, 0.5, 0.5]))
+    assert abs(vs.alpha[0]) < 1.0
+    assert abs(1.0 - abs(vs.alpha[0]) ** 2 - 1e-14) <= 4 * EPS

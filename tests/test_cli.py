@@ -370,3 +370,20 @@ def test_import_leaves_scipy_solvers_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["quadrature", "pair2alpha"])
+def test_exit_2_alpha_on_the_circle(capsys, command):
+    # c_1 = 1e300 puts alpha_0 = 1 - 1e-300 i, which has modulus 1.0
+    doc = '{"c": [1e300, 0.5], "m": [0.5, 0.5]}'
+    code, out, err = run(capsys, [command, "--input", doc])
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert error_type(err) == "InvalidParameters"
+    assert "at n = 1 (c_n = 1e+300, m_n = 0.5)" in message
+
+
+def test_large_c_stays_inside_the_disc(capsys):
+    doc = run_json(capsys, ["pair2alpha", "--input", '{"c": [1e7, 0.5], "m": [0.5, 0.5]}'])
+    re, im = doc["alpha"][0]
+    assert re * re + im * im < 1.0
