@@ -18,6 +18,7 @@ The forward map is array work: tau is a cumulative product of the factors
 (1 - i c_n)/(1 + i c_n), taken one RENORM_EVERY block at a time, and the last
 tau of each full block is divided by its modulus before it seeds the next
 block, which keeps |tau_n| - 1 at rounding level however long the sequence.
+That product, running_product, also gives the rotations of transforms.py.
 The backward map is sequential in tau, so only its recurrence is a loop; the
 checks and c, m, d and b are array expressions.
 
@@ -56,7 +57,6 @@ class SequencePair:
 
     c: tuple[float, ...]
     chain: ChainSequence
-    tail_period: int | None = None
 
     def __post_init__(self):
         if len(self.c) != len(self.chain.d):
@@ -75,15 +75,13 @@ class SequencePair:
                 f"at n = {n} (c_n = {float(c[n - 1])!r}, m_n = {float(m[n - 1])!r}): "
                 f"alpha_{n - 1} would round onto the unit circle"
             )
-        if self.tail_period is not None:
-            p = self.tail_period
-            if not (isinstance(p, int) and 1 <= p <= len(self.c)):
-                raise InvalidParameters(
-                    f"tail_period = {p!r} must be an integer in [1, {len(self.c)}]"
-                )
 
     def __len__(self) -> int:
         return len(self.c)
+
+    @property
+    def tail_period(self) -> int | None:
+        return self.chain.tail_period
 
     @property
     def m(self) -> tuple[float, ...]:
@@ -98,16 +96,6 @@ class SequencePair:
         """b_n = 1 - 2 m_n for n = 1..N."""
         return tuple((1.0 - 2.0 * np.asarray(self.chain.m[1:])).tolist())
 
-    def c_at(self, n: int) -> float:
-        """c_n with 1-based index, extended through the periodic tail."""
-        N = len(self.c)
-        if 1 <= n <= N:
-            return self.c[n - 1]
-        if n < 1 or self.tail_period is None:
-            raise InvalidParameters(f"index {n} beyond stored prefix")
-        p = self.tail_period
-        return self.c[N - p + (n - N - 1) % p]
-
 
 @dataclass(frozen=True)
 class VerblunskySequence:
@@ -115,7 +103,6 @@ class VerblunskySequence:
 
     alpha: tuple[complex, ...]
     tau: tuple[complex, ...]
-    tail_period: int | None = None
 
     def __post_init__(self):
         if len(self.tau) != len(self.alpha) + 1:
@@ -135,23 +122,27 @@ def make_pair(c, m=None, d=None, tail_period: int | None = None) -> SequencePair
         chain = ChainSequence.from_minimal(m, tail_period)
     else:
         chain = ChainSequence.from_d(d, tail_period)
-    return SequencePair(
-        c=tuple(np.asarray(c, dtype=float).tolist()), chain=chain, tail_period=tail_period
-    )
+    return SequencePair(c=tuple(np.asarray(c, dtype=float).tolist()), chain=chain)
 
 
-def _tau(c: np.ndarray) -> np.ndarray:
-    """tau_0..tau_N for c_1..c_N, a cumulative product per RENORM_EVERY block."""
-    step = (1.0 - 1j * c) / (1.0 + 1j * c)
-    tau = np.empty(c.size + 1, dtype=complex)
-    tau[0] = t = 1.0
-    for s in range(0, c.size, RENORM_EVERY):
+def running_product(step: np.ndarray) -> np.ndarray:
+    """1, step_1, step_1 step_2, ... for unimodular factors, a cumulative
+    product per RENORM_EVERY block whose last entry is divided by its modulus
+    before it seeds the next block."""
+    out = np.empty(step.size + 1, dtype=complex)
+    out[0] = t = 1.0
+    for s in range(0, step.size, RENORM_EVERY):
         block = t * np.cumprod(step[s : s + RENORM_EVERY])
         if block.size == RENORM_EVERY:
             block[-1] /= abs(block[-1])
-        tau[s + 1 : s + 1 + block.size] = block
+        out[s + 1 : s + 1 + block.size] = block
         t = block[-1]
-    return tau
+    return out
+
+
+def _tau(c: np.ndarray) -> np.ndarray:
+    """tau_0..tau_N for c_1..c_N."""
+    return running_product((1.0 - 1j * c) / (1.0 + 1j * c))
 
 
 def tau_from_c(c) -> tuple[complex, ...]:

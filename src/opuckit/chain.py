@@ -4,8 +4,9 @@ A prefix (d_1, ..., d_N) of positives is a positive chain sequence prefix when
 it can be written d_n = (1 - g_{n-1}) g_n with g_0 in [0, 1) and g_n in (0, 1).
 The minimal parameters take g_0 = 0 and are produced by forward iteration; the
 maximal parameters are the pointwise largest admissible g and are recovered by
-backward iteration seeded at 1 beyond the stored data.  M_0 equals the jump the
-associated measure places at z = 1, so "M_0 = 0" certifies no mass there.
+one backward pass seeded at 1 or, with a periodic tail, at the fixed point of
+one period.  M_0 equals the jump the associated measure places at z = 1, so
+"M_0 = 0" certifies no mass there.
 """
 
 from __future__ import annotations
@@ -14,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DivisionByZero,
-    InvalidParameters,
-    NoConvergence,
-    NotAChainSequence,
-)
+from .errors import InvalidParameters, NotAChainSequence, NumericsError
 
 __all__ = [
     "ChainSequence",
@@ -29,6 +25,8 @@ __all__ = [
     "maximal_parameters",
     "is_determinate",
 ]
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_finite(values, name: str) -> np.ndarray:
@@ -45,16 +43,24 @@ def _check_finite(values, name: str) -> np.ndarray:
 def minimal_parameters(d) -> tuple[float, ...]:
     """Forward iteration m_0 = 0, m_n = d_n / (1 - m_{n-1}).
 
-    Raises NotAChainSequence at the first index where the parameter escapes
-    [0, 1), and InvalidParameters for non-positive or non-finite d entries.
+    To first order e_n = a_n e_{n-1} + 4 eps m_n, a_n = m_n / (1 - m_{n-1}),
+    bounds the rounding in m_n.  An m_n that escapes [0, 1) by more than e_n
+    raises NotAChainSequence, by less a NumericsError naming n and e_n.
+    Non-positive or non-finite d entries raise InvalidParameters.
     """
     _check_finite(d, "d")
-    m = [0.0]
+    m, e = [0.0], 0.0
     for n, dn in enumerate(d, start=1):
         if dn <= 0.0:
             raise InvalidParameters(f"d[{n - 1}] = {dn!r} must be positive")
         mn = dn / (1.0 - m[-1])
-        if not 0.0 <= mn < 1.0:
+        e = mn / (1.0 - m[-1]) * e + 4.0 * _EPS * mn
+        if not mn < 1.0:
+            if mn - 1.0 < e:
+                raise NumericsError(
+                    f"m_{n} = {mn!r} left [0, 1) by less than its rounding bound "
+                    f"e_{n} = {e!r}, so rounding may have pushed it out"
+                )
             raise NotAChainSequence(n, mn)
         m.append(mn)
     return tuple(m)
@@ -113,83 +119,86 @@ class ChainSequence:
     def __len__(self) -> int:
         return len(self.d)
 
-    def d_at(self, n: int) -> float:
-        """d_n with 1-based index, extended through the periodic tail."""
-        N = len(self.d)
-        if 1 <= n <= N:
-            return self.d[n - 1]
-        if n < 1:
-            raise InvalidParameters(f"index {n} out of range")
-        if self.tail_period is None:
-            raise InvalidParameters(
-                f"index {n} beyond stored prefix of length {N} and no periodic tail"
-            )
-        p = self.tail_period
-        return self.d[N - p + (n - N - 1) % p]
-
 
 @dataclass(frozen=True)
 class MaximalParameters:
-    """Result of the truncated backward iteration.
+    """Maximal parameters M[n] at indices n = 0..N.
 
-    M[n] approximates the maximal parameter at index n (0..N); tail_depth is
-    the extension depth at which successive doubling moved M[0] by < tol.
+    tail_depth is p, the one period of the tail whose fixed point seeds M_N,
+    or 0 without a tail (M_N = 1).
     """
 
     M: tuple[float, ...]
     tail_depth: int
-    tol: float
 
 
-def _backward_pass(chain: ChainSequence, depth: int) -> list[float]:
-    N = len(chain)
-    top = N + depth
-    M = 1.0
-    out = [0.0] * (N + 1)
-    if top == N:
-        out[N] = M
-    for k in range(top, 0, -1):
-        if M <= 0.0:
-            raise DivisionByZero(
-                f"backward iterate M_{k} = {M!r} is not positive; "
-                "the extended d sequence is not a chain sequence"
-            )
-        M = 1.0 - chain.d_at(k) / M
-        if k - 1 <= N:
-            out[k - 1] = M
-    return out
+def _backward(d, M: float, top: int) -> tuple[list[float], float, float]:
+    """Iterates M_top, M_{top-1}, ..., M_{top-len(d)} of M_{k-1} = 1 - d_k/M_k
+    from M_top = M, where d = (d_{top-len(d)+1}, ..., d_top).
 
-
-def maximal_parameters(
-    chain: ChainSequence,
-    tol: float = 1e-12,
-    initial_depth: int = 64,
-    max_depth: int = 2**21,
-) -> MaximalParameters:
-    """Maximal parameters by backward iteration seeded at 1 past the prefix.
-
-    With a periodic tail the prefix is extended by `depth` periods' worth of
-    entries and the depth doubles until M_0 moves by less than tol, up to
-    max_depth (NoConvergence beyond).  Without a tail no extension is possible
-    and the seed sits at the stored end (depth 0, single pass).
-
-    Near-boundary chains (d_n -> 1/4) converge only like 1/depth, so a tol
-    of 1e-12 is honestly unreachable there; pass a looser tol for such data.
+    Also returns the slope dM_{top-len(d)}/dM_top = prod d_k/M_k^2 and a
+    first-order bound on the rounding of the last iterate (each step rounds
+    twice; later steps scale an error by d_k/M_k^2).  A non-positive M_k,
+    k >= 1, raises InvalidParameters: no chain sequence has it.
     """
-    if chain.tail_period is None:
-        M = _backward_pass(chain, 0)
-        return MaximalParameters(M=tuple(M), tail_depth=0, tol=tol)
-    depth = max(1, initial_depth)
-    prev = _backward_pass(chain, depth)
-    while depth <= max_depth:
-        depth *= 2
-        cur = _backward_pass(chain, depth)
-        if abs(cur[0] - prev[0]) < tol:
-            return MaximalParameters(M=tuple(cur), tail_depth=depth, tol=tol)
-        prev = cur
-    raise NoConvergence(
-        f"M_0 still moving by >= {tol!r} at extension depth {depth // 2}"
-    )
+    out, slope, noise = [M], 1.0, 0.0
+    for k, dk in zip(range(top, 0, -1), reversed(d)):
+        if not M > 0.0:
+            raise InvalidParameters(
+                f"backward iterate M_{k} = {M!r} is not positive: d with its "
+                "periodic tail is not a chain sequence"
+            )
+        q = dk / M
+        ratio = q / M
+        M = 1.0 - q
+        slope *= ratio
+        noise = noise * ratio + _EPS * (q + abs(M))
+        out.append(M)
+    return out, slope, noise
+
+
+def _fixed_point(d, top: int) -> float:
+    """Largest fixed point of one period P of the backward map over
+    d = (d_{top-p+1}, ..., d_top), applied last entry first.
+
+    P is increasing and concave on (0, inf) with P(1) < 1, so Newton's method
+    on g(M) = P(M) - M from M = 1 falls monotonically onto the largest root.
+    It stops once g(M) >= 0, P'(M) >= 1 or a step no longer lowers M.  A step
+    taken on rounding noise near a double root can overshoot past the peak of
+    g, so the result is the last iterate with g(M) >= -2 r, r the rounding
+    bound of P(M); with none, P has no fixed point: d is no chain sequence.
+    """
+    M, found = 1.0, None
+    while True:
+        orbit, slope, noise = _backward(d, M, top)
+        g = orbit[-1] - M
+        if g >= -2.0 * noise:
+            found = M
+        if g >= 0.0 or slope >= 1.0:
+            break
+        step = M - g / (slope - 1.0)
+        if not step < M:
+            break
+        M = step
+    if found is None:
+        raise InvalidParameters(
+            f"one period of the backward map has no fixed point: P(M) - M = "
+            f"{g!r} at M_{top} = {M!r}, beyond its rounding {noise!r}; d with "
+            "its periodic tail is not a chain sequence"
+        )
+    return found
+
+
+def maximal_parameters(chain: ChainSequence) -> MaximalParameters:
+    """One backward pass over the stored prefix from M_N = 1 or, with a tail
+    of period p, from the largest fixed point of the map over its last p d,
+    the limit of backward iteration seeded at 1 ever further out.  Its error is a
+    few roundings of that period over 1 - P'(M_N), and about sqrt(eps) where
+    the two fixed points merge (d_n -> 1/4)."""
+    d, N, p = chain.d, len(chain.d), chain.tail_period
+    start = 1.0 if p is None else _fixed_point(d[N - p :], N)
+    M, _, _ = _backward(d, start, N)
+    return MaximalParameters(M=tuple(reversed(M)), tail_depth=p or 0)
 
 
 def is_determinate(

@@ -49,10 +49,6 @@ class NoConvergence(NumericsError):
     pass
 
 
-class DivisionByZero(NumericsError):
-    """A backward parameter iterate hit zero; the d prefix is inconsistent."""
-
-
 class DegenerateDenominator(NumericsError):
     pass
 

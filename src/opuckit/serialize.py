@@ -16,13 +16,15 @@ floats).
 Sequence inputs accept exactly one coefficient family per document:
 {"c", "m"}, {"c", "d"}, or {"alpha"}, plus an optional "tail_period".
 Element types are checked in one pass over each array.  Only an array that
-fails it is walked element by element, to name the first bad entry; so is an
-"alpha" array that holds plain reals, alone or mixed with [re, im] rows.
+fails it, or holds an integer too large for a float, is walked element by
+element, to name the first bad entry; so is an "alpha" array that holds plain
+reals, alone or mixed with [re, im] rows.
 """
 
 from __future__ import annotations
 
 import sys
+from contextlib import suppress
 from itertools import chain
 from pathlib import Path
 
@@ -153,22 +155,31 @@ def read_input_document(spec: str) -> dict:
         text = path.read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits
         raise InvalidParameters(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidParameters("input JSON must be an object")
     return doc
 
 
+def _real(v, name: str) -> float:
+    """A JSON number as a float; InvalidParameters naming any other entry."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise InvalidParameters(f"{name} = {v!r} is not a real number")
+    try:
+        return float(v)
+    except OverflowError:
+        raise InvalidParameters(f"{name} is an integer too large for a float") from None
+
+
 def _real_list(doc: dict, key: str) -> np.ndarray:
     raw = doc[key]
     if not isinstance(raw, list) or not raw:
         raise InvalidParameters(f"{key!r} must be a non-empty array of reals")
-    if not set(map(type, raw)) <= _REAL_TYPES:
-        for i, v in enumerate(raw):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise InvalidParameters(f"{key}[{i}] = {v!r} is not a real number")
-    return np.array(raw, dtype=float)
+    if set(map(type, raw)) <= _REAL_TYPES:
+        with suppress(OverflowError):  # an integer too large for a float, named below
+            return np.array(raw, dtype=float)
+    return np.array([_real(v, f"{key}[{i}]") for i, v in enumerate(raw)])
 
 
 def _alpha_list(doc: dict) -> tuple[complex, ...]:
@@ -181,17 +192,18 @@ def _alpha_list(doc: dict) -> tuple[complex, ...]:
         and set(map(type, chain.from_iterable(raw))) <= _REAL_TYPES
     ):
         # rows [re, im] are the real and imaginary parts of complex128
-        return tuple(np.array(raw, dtype=float).view(complex).ravel().tolist())
+        with suppress(OverflowError):  # an integer too large for a float, named below
+            return tuple(np.array(raw, dtype=float).view(complex).ravel().tolist())
     out = []
     for i, v in enumerate(raw):
         if isinstance(v, (int, float)) and not isinstance(v, bool):
-            out.append(complex(float(v)))
+            out.append(complex(_real(v, f"alpha[{i}]")))
         elif (
             isinstance(v, list)
             and len(v) == 2
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
         ):
-            out.append(complex(float(v[0]), float(v[1])))
+            out.append(complex(_real(v[0], f"alpha[{i}][0]"), _real(v[1], f"alpha[{i}][1]")))
         else:
             raise InvalidParameters(
                 f"alpha[{i}] = {v!r} must be a real or an [re, im] pair"

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bijection import (
-    RENORM_EVERY,
     SequencePair,
     VerblunskySequence,
     make_pair,
     pair_to_verblunsky,
+    running_product,
 )
 from .errors import HypothesisViolated, InvalidParameters
 
@@ -27,9 +29,7 @@ __all__ = ["UnfoldingData", "conjugate_pair", "rotate_alpha", "unfold_alternatin
 
 def conjugate_pair(pair: SequencePair) -> SequencePair:
     """The pair of the conjugated measure: (c, d) -> (-c, d)."""
-    return SequencePair(
-        c=tuple(-ck for ck in pair.c), chain=pair.chain, tail_period=pair.tail_period
-    )
+    return SequencePair(c=tuple(-ck for ck in pair.c), chain=pair.chain)
 
 
 def rotate_alpha(alpha, beta: complex) -> tuple[complex, ...]:
@@ -39,14 +39,8 @@ def rotate_alpha(alpha, beta: complex) -> tuple[complex, ...]:
         raise InvalidParameters(f"beta = {beta!r} must be unimodular")
     if isinstance(alpha, VerblunskySequence):
         alpha = alpha.alpha
-    out: list[complex] = []
-    power = 1.0 + 0.0j
-    for n, a in enumerate(alpha, start=1):
-        power *= beta
-        if n % RENORM_EVERY == 0:
-            power /= abs(power)
-        out.append(power * complex(a))
-    return tuple(out)
+    a = np.asarray(alpha, dtype=complex).reshape(-1)
+    return tuple((running_product(np.full(a.size, beta))[1:] * a).tolist())
 
 
 @dataclass(frozen=True)
@@ -83,16 +77,12 @@ def unfold_alternating(pair: SequencePair, tol: float = 1e-12) -> UnfoldingData:
         -(1.0 + 1j * pair.c[2 * k - 1]) / (1.0 - 1j * pair.c[2 * k - 1])
         for k in range(1, N // 2 + 1)
     )
-    alpha = pair_to_verblunsky(pair).alpha
-    alpha_tilde: list[complex] = []
-    sq = 1.0 + 0.0j
-    for k in range(N // 2):
-        bk = beta[k]
-        alpha_tilde.append(sq * bk * alpha[2 * k])
-        sq *= bk * bk
-        if (k + 1) % RENORM_EVERY == 0:
-            sq /= abs(sq)
-        alpha_tilde.append(sq * alpha[2 * k + 1])
+    b = np.array(beta)
+    sq = running_product(b * b)  # sq[k] = prod_{j<k} beta_j^2
+    alpha = np.array(pair_to_verblunsky(pair).alpha)
+    alpha_tilde = np.empty(N, dtype=complex)
+    alpha_tilde[0::2] = sq[:-1] * b * alpha[0::2]
+    alpha_tilde[1::2] = sq[1:] * alpha[1::2]
     c_tilde: list[float] = []
     m_tilde: list[float] = [0.0]
     for k in range(1, N // 2 + 1):
@@ -101,6 +91,6 @@ def unfold_alternating(pair: SequencePair, tol: float = 1e-12) -> UnfoldingData:
         m_tilde.append(pair.m[2 * k])
     return UnfoldingData(
         beta=beta,
-        alpha_tilde=tuple(alpha_tilde),
+        alpha_tilde=tuple(alpha_tilde.tolist()),
         pair_tilde=make_pair(c_tilde, m=m_tilde),
     )

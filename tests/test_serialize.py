@@ -224,6 +224,46 @@ def test_bad_alpha_rows(capsys, doc, message):
     assert input_error(capsys, ["alpha2pair", "--input", doc]) == message
 
 
+BIG = "1" + "0" * 400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (
+            "pair2alpha",
+            '{"c": [0.5, %s], "m": [0.5, 0.5]}' % BIG,
+            "c[1] is an integer too large for a float",
+        ),
+        (
+            "pair2alpha",
+            '{"c": [0.5, 0.5], "d": [-%s, 0.5]}' % BIG,
+            "d[0] is an integer too large for a float",
+        ),
+        (
+            "alpha2pair",
+            '{"alpha": [[0.1, 0.2], [0.1, %s]]}' % BIG,
+            "alpha[1][1] is an integer too large for a float",
+        ),
+        (
+            "alpha2pair",
+            '{"alpha": [0.1, %s]}' % BIG,
+            "alpha[1] is an integer too large for a float",
+        ),
+    ],
+)
+def test_integer_too_large_for_a_float(capsys, command, doc, message):
+    assert input_error(capsys, [command, "--input", doc]) == message
+
+
+def test_integer_beyond_the_parser_limit(capsys):
+    # json.loads refuses integers over 4300 digits with a plain ValueError
+    doc = '{"c": [%s], "m": [0.5]}' % ("1" * 5000)
+    assert input_error(capsys, ["pair2alpha", "--input", doc]).startswith(
+        "input is not valid JSON: Exceeds the limit (4300 digits)"
+    )
+
+
 def long_doc(key, literal, k=5000, n=10_000):
     """A 10^4-term document with the JSON literal at indices k and k + 2000
     of key; the message must name the first."""

@@ -11,7 +11,7 @@ from opuckit import (
     unfold_alternating,
 )
 from opuckit.errors import HypothesisViolated, InvalidParameters
-from conftest import random_pair
+from conftest import random_alpha, random_pair
 
 
 def alternating_pair(rng, couples, constant_c=None):
@@ -107,3 +107,48 @@ def test_constant_alternation_is_a_rotation(rng):
     for k in range(1, 9):
         assert abs(recovered.m[2 * k - 1] - (1.0 - pair.m[2 * k - 1])) < 1e-11
         assert abs(recovered.m[2 * k] - pair.m[2 * k]) < 1e-11
+
+
+# ---- the scalar loops the running products replaced, kept as references
+
+EPS = np.finfo(float).eps
+
+
+def ref_rotate(alpha, beta):
+    """beta^{n+1} alpha_n one factor at a time, renormalised every 64."""
+    out, power = [], 1.0 + 0.0j
+    for n, a in enumerate(alpha, start=1):
+        power *= beta
+        if n % 64 == 0:
+            power /= abs(power)
+        out.append(power * a)
+    return np.array(out)
+
+
+def ref_unfold(alpha, beta):
+    """alpha~ with the running product of beta_k^2, renormalised every 64."""
+    out, sq = [], 1.0 + 0.0j
+    for k, bk in enumerate(beta):
+        out.append(sq * bk * alpha[2 * k])
+        sq *= bk * bk
+        if (k + 1) % 64 == 0:
+            sq /= abs(sq)
+        out.append(sq * alpha[2 * k + 1])
+    return np.array(out)
+
+
+def test_running_products_agree_with_scalar_loops():
+    # output k multiplies k + 1 unimodular factors in both routes, grouped
+    # differently (one product per 64-block against one factor at a time), so
+    # they may part by a few eps per factor: 16 (k + 1) eps, as for tau
+    n = 100_000
+    rng = np.random.default_rng(5)
+    alpha = random_alpha(rng, n)
+    beta = np.exp(1j * 2.3)
+    bound = 16 * (np.arange(n) + 1) * EPS
+    assert np.all(np.abs(np.array(rotate_alpha(alpha, beta)) - ref_rotate(alpha, beta)) <= bound)
+    pair = alternating_pair(rng, n // 2)
+    data = unfold_alternating(pair)
+    want = ref_unfold(pair_to_verblunsky(pair).alpha, data.beta)
+    # output 2k and 2k + 1 hold k + 1 factors
+    assert np.all(np.abs(np.array(data.alpha_tilde) - want) <= bound[: n // 2].repeat(2))
