@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_DETERMINATE_TOL = 1e-8
 
 
 def _check_finite(values, name: str) -> np.ndarray:
@@ -85,9 +87,11 @@ def d_from_minimal(m) -> tuple[float, ...]:
 class ChainSequence:
     """A chain sequence prefix with its minimal parameters.
 
-    d has length N, m has length N + 1 with m[0] = 0.  tail_period = p marks
-    the convention d_{n+p} = d_n beyond the stored prefix; operations never
-    assume data beyond prefix + tail.
+    d has length N and m, of length N + 1, must be its minimal parameters:
+    m_0 = 0, m_n in (0, 1) and d_n = (1 - m_{n-1}) m_n to 4 eps (d_n + tiny),
+    or InvalidParameters names n.  tail_period = p marks the convention
+    d_{n+p} = d_n beyond the stored prefix; operations never assume data
+    beyond prefix + tail.
     """
 
     d: tuple[float, ...]
@@ -98,6 +102,15 @@ class ChainSequence:
         if len(self.m) != len(self.d) + 1:
             raise InvalidParameters(
                 f"m has length {len(self.m)}, expected {len(self.d) + 1}"
+            )
+        want = np.array(d_from_minimal(self.m))
+        d = np.asarray(self.d, dtype=float)
+        off = ~(np.abs(d - want) <= 4.0 * _EPS * (want + _TINY))
+        if off.any():
+            n = int(np.argmax(off)) + 1
+            raise InvalidParameters(
+                f"d_{n} = {float(d[n - 1])!r} is not (1 - m_{n - 1}) m_{n} = "
+                f"{float(want[n - 1])!r}: m are not the minimal parameters of d"
             )
         if self.tail_period is not None:
             p = self.tail_period
@@ -157,9 +170,9 @@ def _backward(d, M: float, top: int) -> tuple[list[float], float, float]:
     return out, slope, noise
 
 
-def _fixed_point(d, top: int) -> float:
+def _fixed_point(d, top: int) -> tuple[float, float]:
     """Largest fixed point of one period P of the backward map over
-    d = (d_{top-p+1}, ..., d_top), applied last entry first.
+    d = (d_{top-p+1}, ..., d_top), applied last entry first, and its error.
 
     P is increasing and concave on (0, inf) with P(1) < 1, so Newton's method
     on g(M) = P(M) - M from M = 1 falls monotonically onto the largest root.
@@ -167,13 +180,16 @@ def _fixed_point(d, top: int) -> float:
     taken on rounding noise near a double root can overshoot past the peak of
     g, so the result is the last iterate with g(M) >= -2 r, r the rounding
     bound of P(M); with none, P has no fixed point: d is no chain sequence.
+    The error is 2 r/(1 - P') at a simple root, and within sqrt(3 r/a) of a
+    double root M*, g = -a (M - M*)^2, where |1 - P'| = 2 a |M - M*|; so
+    6 r/max(|1 - P'|, eps) + eps M bounds both to first order.
     """
     M, found = 1.0, None
     while True:
         orbit, slope, noise = _backward(d, M, top)
         g = orbit[-1] - M
         if g >= -2.0 * noise:
-            found = M
+            found = M, 6.0 * noise / max(abs(1.0 - slope), _EPS) + _EPS * M
         if g >= 0.0 or slope >= 1.0:
             break
         step = M - g / (slope - 1.0)
@@ -194,15 +210,23 @@ def maximal_parameters(chain: ChainSequence) -> MaximalParameters:
     of period p, from the largest fixed point of the map over its last p d,
     the limit of backward iteration seeded at 1 ever further out.  Its error is a
     few roundings of that period over 1 - P'(M_N), and about sqrt(eps) where
-    the two fixed points merge (d_n -> 1/4)."""
+    the two fixed points merge (d_n -> 1/4).  An M_0 (the mass at z = 1)
+    below 0 within that error times dM_0/dM_N plus the pass's rounding is
+    returned as 0.0; further below, InvalidParameters."""
     d, N, p = chain.d, len(chain.d), chain.tail_period
-    start = 1.0 if p is None else _fixed_point(d[N - p :], N)
-    M, _, _ = _backward(d, start, N)
+    start, error = (1.0, 0.0) if p is None else _fixed_point(d[N - p :], N)
+    M, slope, noise = _backward(d, start, N)
+    if M[-1] < 0.0:
+        bound = slope * error + noise
+        if not -M[-1] <= bound:
+            raise InvalidParameters(
+                f"M_0 = {M[-1]!r} is below 0 by more than its error bound {bound!r}: "
+                "d with its periodic tail is not a chain sequence"
+            )
+        M[-1] = 0.0
     return MaximalParameters(M=tuple(reversed(M)), tail_depth=p or 0)
 
 
-def is_determinate(
-    chain: ChainSequence, maximal: MaximalParameters, tol: float = 1e-8
-) -> bool:
-    """True when minimal and maximal parameters coincide within tol."""
-    return max(abs(M - m) for M, m in zip(maximal.M, chain.m)) < tol
+def is_determinate(chain: ChainSequence, maximal: MaximalParameters) -> bool:
+    """True when minimal and maximal parameters coincide within 1e-8."""
+    return max(abs(M - m) for M, m in zip(maximal.M, chain.m)) < _DETERMINATE_TOL

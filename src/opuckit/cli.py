@@ -79,11 +79,6 @@ def _resolve_n(args, pair) -> int:
     return n
 
 
-def _check_tol(args) -> None:
-    if args.tol is not None and not args.tol > 0.0:
-        raise InvalidParameters(f"tolerance {args.tol!r} must be positive")
-
-
 # ------------------ subcommands ------------------ #
 
 
@@ -120,11 +115,9 @@ def cmd_alpha2pair(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    _check_tol(args)
     pair = _load_pair(args)
     n = _resolve_n(args, pair)
-    kwargs = {} if args.tol is None else {"tol": args.tol}
-    ladder = zero_ladder(pair, n, **kwargs)
+    ladder = zero_ladder(pair, n)
     final = ladder[-1]
     _emit_json(
         args,
@@ -198,8 +191,8 @@ def cmd_poly(args) -> int:
     r_levels = [[[1.0, 0.0]]]  # level 0: R_0 = 1
     q_levels = [[]]  # level 0: Q_0 = 0
     for k in range(1, n + 1):
-        r_levels.append(complex_pairs(r_coeffs(pair, k, max_stored=n).coeffs))
-        q_levels.append(complex_pairs(q_coeffs(pair, k, max_stored=n).coeffs))
+        r_levels.append(complex_pairs(r_coeffs(pair, k).coeffs))
+        q_levels.append(complex_pairs(q_coeffs(pair, k).coeffs))
     _emit_json(
         args,
         {"meta": _meta("poly"), "n": n, "R": r_levels, "Q": q_levels},
@@ -419,12 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", help="zeros of every level of the cosine-form polynomial ladder")
     _add_io(p, csv_ok=True)
     p.add_argument("--n", type=int, default=None, help="ladder depth (default: input length)")
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="warn (ClusterWarning) where two zeros of a level lie closer than 10 TOL in x",
-    )
     p.set_defaults(fn=cmd_zeros)
 
     p = sub.add_parser("quadrature", help="nodes and weights of the discrete approximant")

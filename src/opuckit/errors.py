@@ -69,7 +69,7 @@ class NegativeWeight(NumericsError):
     def __init__(self, j: int, value: float):
         self.j = j
         self.value = value
-        super().__init__(f"quadrature weight {j} is not positive: {value!r}")
+        super().__init__(f"quadrature weight {j} is not >= 0: {value!r}")
 
 
 class NonRealDiscriminant(NumericsError):
@@ -82,7 +82,3 @@ class DenominatorVanished(NumericsError):
 
 class InternalInvariant(NumericsError):
     pass
-
-
-class ClusterWarning(UserWarning):
-    """Adjacent zeros closer than the cluster threshold; accuracy may degrade."""

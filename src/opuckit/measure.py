@@ -4,8 +4,9 @@ psi_n is the Gauss-Szego rule of the (n+1)x(n+1) unitary CMV matrix of
 alpha_0..alpha_{n-1} closed with alpha_n = conj(tau_n) (see cmv): its nodes
 are z = 1 and the n zeros of R_n, and its weights lambda_{n,j} = |Z[0, j]|^2
 come from the Schur vectors Z of one complex Schur decomposition, so they are
-positive and sum to one up to rounding.  The cumulative step function uses
-the left-open/right-closed branches
+non-negative (deep in a spectral gap one can round to 0.0, below the vectors'
+accuracy of about n eps) and sum to one up to rounding.  The cumulative step
+function uses the left-open/right-closed branches
 
     psi_n(0) = 0,   psi_n(theta) = sum_{j<=k} lambda_{n,j}
                     for theta in (theta_{n,k}, theta_{n,k+1}],
@@ -41,12 +42,13 @@ class DiscreteMeasure:
 
 
 def quadrature(pair: SequencePair, n: int) -> DiscreteMeasure:
-    """Nodes and weights of psi_n; raises if positivity or normalization break."""
+    """Nodes and weights of psi_n; NegativeWeight for a weight below 0 (or NaN),
+    InternalInvariant for weights that do not sum to 1 within 1e-10."""
     if not 1 <= n <= len(pair):
         raise InvalidParameters(f"need 1 <= n <= {len(pair)}, got {n}")
     vs = pair_to_verblunsky(pair)
     theta, lam = gauss_szego(vs.alpha[:n], vs.tau[n].conjugate())
-    bad = np.flatnonzero(~(lam > 0.0))
+    bad = np.flatnonzero(~(lam >= 0.0))
     if bad.size:
         raise NegativeWeight(int(bad[0]), float(lam[bad[0]]))
     total = float(np.sum(lam))

@@ -80,6 +80,10 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 _EPS = float(np.finfo(float).eps)
+_EDGE_TOL = 1e-10
+_SERIES_TOL = 1e-14
+_PERIODIC_TOL = 1e-10
+_PARALLEL_TOL = 1e-9
 
 
 def _check_alpha(alpha) -> tuple[complex, ...]:
@@ -238,37 +242,39 @@ def _edges(alpha) -> tuple[np.ndarray, np.ndarray]:
 def band_structure(alpha) -> PeriodicSpectrum:
     """Locate all solutions of Delta = +-2 and assemble bands and gaps.
 
-    Walking the edges around the circle, an arc between a +2 and a -2 edge is
-    a band and an arc between two edges of one sign is a gap.  The arc that
-    wraps through angle 0 ends at the first edge plus 2 pi, where Delta has
-    the first edge's sign times (-1)^p; for odd p that lifted angle is the one
-    reported for the edge when the arc is a band.  A gap is closed, lo == hi,
-    when its edges agree to the eigensolver's backward error 64 p eps: the
-    Floquet matrices are normal, so a touching point is an exact double
-    eigenvalue.
+    Bands and gaps alternate, so the arcs from sorted edge i to i + 1,
+    i = s, s + 2, ..., are the p bands, with s in {0, 1} the offset giving
+    more pairs of opposite sign, and the arcs between them are the gaps.  A
+    band thinner than rounding stays whole: its two edges are adjacent in
+    either order.  A band with one sign at both edges raises
+    InternalInvariant.  The arc that wraps through angle 0 ends at the first
+    edge plus 2 pi, where Delta has the first edge's sign times (-1)^p; for
+    odd p that lifted angle is the one reported for the edge when the arc is
+    a band.  A gap is closed, lo == hi, when its edges agree to the
+    eigensolver's backward error 64 p eps: the Floquet matrices are normal,
+    so a touching point is an exact double eigenvalue.
     """
     alpha = _check_alpha(alpha)
     p = len(alpha)
     theta, sign = _edges(alpha)
     ends = np.append(theta, theta[0] + TWO_PI)
     signs = np.append(sign, sign[0] * (-1) ** p)
+    flips = signs[:-1] != signs[1:]
+    s = int(np.count_nonzero(flips[1::2]) > np.count_nonzero(flips[0::2]))
     bands: list[Band] = []
     gaps: list[Gap] = []
     for i in range(2 * p):
         lo, hi = float(ends[i]), float(ends[i + 1])
-        if signs[i] != signs[i + 1]:
+        if i % 2 == s:
+            if not flips[i]:
+                raise InternalInvariant(f"band [{lo!r}, {hi!r}] has one sign at both edges")
             bands.append(Band(lo=lo, hi=hi, lo_sign=int(signs[i]), hi_sign=int(signs[i + 1])))
         elif hi - lo <= 64.0 * p * _EPS:
             mid = 0.5 * (lo + hi) % TWO_PI
             gaps.append(Gap(lo=mid, hi=mid, closed=True))
         else:
             gaps.append(Gap(lo=lo, hi=hi, closed=False))
-    if len(bands) != p:
-        raise InternalInvariant(
-            f"assembled {len(bands)} bands for period {p}: "
-            f"{[(round(b.lo, 6), round(b.hi, 6)) for b in bands]}"
-        )
-    if p % 2 and signs[-2] != signs[-1]:
+    if p % 2 and s == 1:
         theta[0], sign[0] = ends[-1], signs[-1]
     return PeriodicSpectrum(
         p=p,
@@ -368,7 +374,7 @@ def pure_point_mass(alpha, w: complex) -> float | None:
     return float(masses[j]) if masses[j] > 0.0 else None
 
 
-def mass_series(alpha, w: complex, n_terms: int, stop_tol: float = 1e-14) -> float:
+def mass_series(alpha, w: complex, n_terms: int) -> float:
     """Independent truncated-series route: 1/(1 + sum_{n<=N} prod_{j<=n} q_j),
     q_j = |1 - w tau_j alpha_j|^2 / (1 - |alpha_j|^2) along the recursion
     tau_{j+1} = (w tau_j - conj(alpha_j)) / (1 - w tau_j alpha_j), tau_0 = 1.
@@ -380,7 +386,7 @@ def mass_series(alpha, w: complex, n_terms: int, stop_tol: float = 1e-14) -> flo
     Moebius map (its multiplier is the reciprocal of the period product), so
     rounding drift grows geometrically and eventually derails the iteration.
     The sum is therefore truncated once the running term product falls below
-    stop_tol: by then the remaining tail is negligible while the drift is
+    1e-14: by then the remaining tail is negligible while the drift is
     still far from the escape scale. n_terms stays as the hard cap, which a
     divergent series runs into with a huge partial sum (result near 0).
     """
@@ -394,7 +400,7 @@ def mass_series(alpha, w: complex, n_terms: int, stop_tol: float = 1e-14) -> flo
         a = alpha[j % p]
         prod_q *= abs(1.0 - w * t * a) ** 2 / (1.0 - abs(a) ** 2)
         lam += prod_q
-        if prod_q < stop_tol:
+        if prod_q < _SERIES_TOL:
             break
         den = 1.0 - w * t * a
         if abs(den) < 1e-14:
@@ -408,20 +414,20 @@ def mass_series(alpha, w: complex, n_terms: int, stop_tol: float = 1e-14) -> flo
 # ------------------ absolutely continuous part ------------------ #
 
 
-def ac_weight(alpha, theta, edge_eps: float = 1e-10):
-    """The density w(theta) strictly inside a band; OffBand when |Delta| >= 2."""
+def ac_weight(alpha, theta):
+    """The density w(theta) inside a band; OffBand where |Delta| >= 2 - 1e-10."""
     alpha = _check_alpha(alpha)
     t = np.asarray(theta, dtype=float)
     scalar = t.shape == ()
     t = np.atleast_1d(t)
     parts = _floquet_entries(alpha, t)
     delta = parts[0]
-    inside = np.abs(delta) < 2.0 - edge_eps
+    inside = np.abs(delta) < 2.0 - _EDGE_TOL
     if not np.all(inside):
         bad = int(np.argmin(inside))
         raise OffBand(
             f"theta = {float(t[bad])!r} has |Delta| = {float(abs(delta[bad]))!r}"
-            f" >= 2 - {edge_eps!r}"
+            f" >= 2 - {_EDGE_TOL!r}"
         )
     h = _h_values(alpha, t) * kappa_from_alpha(alpha)
     if np.any(np.abs(h) < 1e-300):
@@ -654,7 +660,7 @@ class PeriodicityReport:
     modulus_residual: float
 
 
-def is_periodic_pair(pair: SequencePair, p: int, tol: float = 1e-10) -> PeriodicityReport:
+def is_periodic_pair(pair: SequencePair, p: int) -> PeriodicityReport:
     """Test the (c, b) conditions equivalent to alpha_{n+p} = alpha_n.
 
     For every n with n + p + 1 <= stored length, compare
@@ -663,7 +669,8 @@ def is_periodic_pair(pair: SequencePair, p: int, tol: float = 1e-10) -> Periodic
             == arg((b_{n+1} - i c_{n+1})/(1 - i c_{n+1}))
              - arg((b_{n+p+1} - i c_{n+p+1})/(1 - i c_{n+p+1}))   (mod 2 pi)
 
-    and the modulus condition (b^2 + c^2)/(1 + c^2) equal at n+1 and n+p+1.
+    and the modulus condition (b^2 + c^2)/(1 + c^2) equal at n+1 and n+p+1;
+    ok when both residuals are below 1e-10.
     When both compared numerators vanish (alpha = 0 there) the phase is
     unconstrained and only the modulus condition applies.
     """
@@ -693,7 +700,7 @@ def is_periodic_pair(pair: SequencePair, p: int, tol: float = 1e-10) -> Periodic
             arg_res = max(arg_res, abs(cmath.phase(cmath.exp(1j * diff))))
         checked += 1
     return PeriodicityReport(
-        ok=(arg_res < tol and mod_res < tol),
+        ok=(arg_res < _PERIODIC_TOL and mod_res < _PERIODIC_TOL),
         p=p,
         checked=checked,
         arg_residual=arg_res,
@@ -701,8 +708,8 @@ def is_periodic_pair(pair: SequencePair, p: int, tol: float = 1e-10) -> Periodic
     )
 
 
-def parallel_lines_check(alpha, tol: float = 1e-9) -> bool:
-    """Even-period geometry: alpha_{2k} - 1 and alpha_{2k+1} + 1 all parallel."""
+def parallel_lines_check(alpha) -> bool:
+    """Even-period geometry: alpha_{2k} - 1 and alpha_{2k+1} + 1 parallel to 1e-9."""
     alpha = _check_alpha(alpha)
     p = len(alpha)
     if p % 2 != 0:
@@ -711,5 +718,5 @@ def parallel_lines_check(alpha, tol: float = 1e-9) -> bool:
     vecs += [alpha[2 * k + 1] + 1.0 for k in range(p // 2)]
     ref = vecs[0]
     return all(
-        abs(ref.real * v.imag - ref.imag * v.real) <= tol for v in vecs[1:]
+        abs(ref.real * v.imag - ref.imag * v.real) <= _PARALLEL_TOL for v in vecs[1:]
     )

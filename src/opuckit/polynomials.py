@@ -12,9 +12,9 @@ coefficients alpha_n:
     with x = cos(theta/2), satisfying
         W_{n+1} = (x - c_{n+1} sqrt(1 - x^2)) W_n - d_{n+1} W_{n-1}.
 
-Coefficient arrays are stored only up to a degree cap; beyond it the value
-recurrences apply per-step power-of-two rescaling with a shared exponent
-accumulator.
+Coefficient arrays are built for any stored degree; the value recurrences
+rescale by powers of two every few steps with a shared exponent accumulator,
+so they stay finite where the coefficients overflow.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ __all__ = [
     "w_eval_scaled",
     "w_from_r_check",
 ]
-
-DEFAULT_MAX_STORED = 64
 
 # rescale cadence/threshold for the value recurrences
 _RESCALE_EVERY = 8
@@ -122,17 +120,12 @@ def self_inversive_defect(coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(coeffs - np.conj(coeffs[::-1]))))
 
 
-def _check_degree(pair: SequencePair, n: int, max_stored: int) -> None:
+def _check_degree(pair: SequencePair, n: int) -> None:
     if n < 0:
         raise InvalidParameters(f"degree n = {n} must be >= 0")
     if n > len(pair):
         raise InvalidParameters(
             f"degree n = {n} needs {n} pair entries, only {len(pair)} stored"
-        )
-    if max_stored is not None and n > max_stored:
-        raise InvalidParameters(
-            f"coefficient arrays capped at degree {max_stored}; "
-            "use the value recurrences (rq_eval / w_eval) beyond"
         )
 
 
@@ -147,9 +140,9 @@ def _rq_coeff_ladder(pair: SequencePair, n: int, first: np.ndarray, second: np.n
     return cur if n >= 1 else prev
 
 
-def r_coeffs(pair: SequencePair, n: int, max_stored: int = DEFAULT_MAX_STORED) -> PolyCoeffs:
+def r_coeffs(pair: SequencePair, n: int) -> PolyCoeffs:
     """Coefficients of R_n (degree n, self-inversive, leading prod(1 + i c_j))."""
-    _check_degree(pair, n, max_stored)
+    _check_degree(pair, n)
     r0 = np.array([1.0 + 0.0j])
     if n == 0:
         return PolyCoeffs(coeffs=r0, family="R", n=0)
@@ -158,9 +151,9 @@ def r_coeffs(pair: SequencePair, n: int, max_stored: int = DEFAULT_MAX_STORED) -
     return PolyCoeffs(coeffs=_rq_coeff_ladder(pair, n, r0, r1), family="R", n=n)
 
 
-def q_coeffs(pair: SequencePair, n: int, max_stored: int = DEFAULT_MAX_STORED) -> PolyCoeffs:
+def q_coeffs(pair: SequencePair, n: int) -> PolyCoeffs:
     """Coefficients of Q_n (degree n - 1)."""
-    _check_degree(pair, n, max_stored)
+    _check_degree(pair, n)
     q0 = np.array([0.0j])
     if n == 0:
         return PolyCoeffs(coeffs=q0, family="Q", n=0)
@@ -190,7 +183,7 @@ def _common_rescale(arrays: list[np.ndarray], exp2: int) -> int:
 
 def rq_eval(pair: SequencePair, n: int, z) -> RQValues:
     """Evaluate R_n at z under a shared power-of-two exponent."""
-    _check_degree(pair, n, None)
+    _check_degree(pair, n)
     z = np.asarray(z, dtype=complex)
     shape = z.shape
     z = np.atleast_1d(z)
@@ -210,7 +203,7 @@ def rq_eval(pair: SequencePair, n: int, z) -> RQValues:
 
 def w_eval_scaled(pair: SequencePair, n: int, x) -> tuple[np.ndarray, int]:
     """W_n at x in [-1, 1] as (mantissa array, shared base-2 exponent)."""
-    _check_degree(pair, n, None)
+    _check_degree(pair, n)
     x = np.asarray(x, dtype=float)
     shape = x.shape
     x = np.atleast_1d(x)

@@ -26,6 +26,8 @@ from .errors import HypothesisViolated, InvalidParameters
 
 __all__ = ["UnfoldingData", "conjugate_pair", "rotate_alpha", "unfold_alternating"]
 
+_COUPLE_TOL = 1e-12
+
 
 def conjugate_pair(pair: SequencePair) -> SequencePair:
     """The pair of the conjugated measure: (c, d) -> (-c, d)."""
@@ -50,10 +52,11 @@ class UnfoldingData:
     pair_tilde: SequencePair
 
 
-def unfold_alternating(pair: SequencePair, tol: float = 1e-12) -> UnfoldingData:
+def unfold_alternating(pair: SequencePair) -> UnfoldingData:
     """Unfold a pair with c_{2n} = -c_{2n-1} into its constant-couple form.
 
-    Requires an even stored length (the couples must be complete).  Returns
+    Requires an even stored length (the couples must be complete) and
+    |c_{2n} + c_{2n-1}| <= 1e-12.  Returns
     the rotation factors beta_n, the transformed reflection coefficients
 
         alpha~_{2k}   = (prod_{j<=k} beta_j^2) beta_{k+1} alpha_{2k}
@@ -68,7 +71,7 @@ def unfold_alternating(pair: SequencePair, tol: float = 1e-12) -> UnfoldingData:
             f"unfolding needs a complete even-length prefix, got length {N}"
         )
     for k in range(1, N // 2 + 1):
-        if abs(pair.c[2 * k - 1] + pair.c[2 * k - 2]) > tol:
+        if abs(pair.c[2 * k - 1] + pair.c[2 * k - 2]) > _COUPLE_TOL:
             raise HypothesisViolated(
                 f"c_{2 * k} = {pair.c[2 * k - 1]!r} is not -c_{2 * k - 1} = "
                 f"{-pair.c[2 * k - 2]!r}"

@@ -7,32 +7,26 @@ CMV matrix of alpha_0..alpha_{k-1} closed with alpha_k = conj(tau_k) (see
 cmv): one eigenvalue is z = 1, the other k are the zeros of R_k.  The ladder
 drops the eigenvalue nearest z = 1, maps the rest to x = cos(theta/2), and
 checks the interlacing of consecutive levels on its output.
+support_gap_check tests the paper's zero-free interval on every level.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bijection import SequencePair, VerblunskySequence, pair_to_verblunsky
 from .cmv import para_orthogonal_angles
-from .errors import (
-    ClusterWarning,
-    GapViolated,
-    HypothesisViolated,
-    InternalInvariant,
-    InvalidParameters,
-)
+from .errors import GapViolated, HypothesisViolated, InternalInvariant, InvalidParameters
 
 __all__ = ["ZeroSet", "SupportGapReport", "zero_ladder", "w_zeros", "support_gap_check"]
 
-# zeros of one level closer than 10 DEFAULT_TOL in x raise ClusterWarning
-DEFAULT_TOL = 1e-13
-
 _EPS = float(np.finfo(float).eps)
+# support_gap_check admits zeros down to |x| = g - _GAP_TOL: with constant
+# c~ and m = 1/2 the extreme zeros sit on +-g to rounding
+_GAP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,18 +38,17 @@ class ZeroSet:
     theta: np.ndarray
 
 
-def zero_ladder(pair: SequencePair, n: int, tol: float = DEFAULT_TOL) -> list[ZeroSet]:
+def zero_ladder(pair: SequencePair, n: int) -> list[ZeroSet]:
     """ZeroSets for every level 1..n, each from the eigenvalues of a CMV matrix.
 
     Raises InternalInvariant, naming the level and the index, where two
     consecutive levels fail to interlace by more than 64 (k+1) eps; equality
-    is allowed, since levels can share a zero to rounding.  Warns ClusterWarning
-    where two zeros of a level lie closer than 10 tol.
+    is allowed, since levels can share a zero to rounding.
     """
     vs = _verblunsky(pair, n)
     ladder: list[ZeroSet] = []
     for level in range(1, n + 1):
-        zs = _level(vs, level, tol)
+        zs = _level(vs, level)
         if ladder:
             _check_interlacing(ladder[-1].x[::-1], zs.x[::-1], level)
         ladder.append(zs)
@@ -68,13 +61,10 @@ def _verblunsky(pair: SequencePair, n: int) -> VerblunskySequence:
     return pair_to_verblunsky(pair)
 
 
-def _level(vs: VerblunskySequence, level: int, tol: float) -> ZeroSet:
+def _level(vs: VerblunskySequence, level: int) -> ZeroSet:
     """Level k of the ladder from the (k+1)x(k+1) CMV matrix closed by conj(tau_k)."""
     theta = para_orthogonal_angles(vs.alpha[:level], vs.tau[level].conjugate())
-    x = np.cos(0.5 * theta)
-    if level > 1 and float(np.min(-np.diff(x))) < 10.0 * tol:
-        warnings.warn(f"level {level} has zeros closer than {10.0 * tol:g}", ClusterWarning)
-    return ZeroSet(n=level, x=x, theta=theta)
+    return ZeroSet(n=level, x=np.cos(0.5 * theta), theta=theta)
 
 
 def _check_interlacing(lower: np.ndarray, upper: np.ndarray, level: int) -> None:
@@ -92,9 +82,9 @@ def _check_interlacing(lower: np.ndarray, upper: np.ndarray, level: int) -> None
         )
 
 
-def w_zeros(pair: SequencePair, n: int, tol: float = DEFAULT_TOL) -> ZeroSet:
+def w_zeros(pair: SequencePair, n: int) -> ZeroSet:
     """Level n of the ladder alone, without the levels below it."""
-    return _level(_verblunsky(pair, n), n, tol)
+    return _level(_verblunsky(pair, n), n)
 
 
 @dataclass(frozen=True)
@@ -107,19 +97,17 @@ class SupportGapReport:
     theta_c: float
     margin: float
     observed_arcs: tuple[tuple[float, float], ...]  # heuristic theta hulls
-    tol: float
 
 
-def support_gap_check(
-    pair: SequencePair, n: int, tol: float = 1e-12
-) -> SupportGapReport:
+def support_gap_check(pair: SequencePair, n: int) -> SupportGapReport:
     """Verify no zero enters the interval forced by c_k = (-1)^k c~_k, c~_k >= c > 0.
 
     The zeros then keep |x| >= c/sqrt(1 + c^2), equivalently the node angles
     stay within the two closed arcs ending at theta_c = arccos((c^2-1)/(c^2+1)).
     The uniform-sign magnitude floor c is inferred from the stored prefix; an
     all-zero c passes vacuously, a broken sign pattern raises
-    HypothesisViolated, a zero strictly inside the interval raises GapViolated.
+    HypothesisViolated, and a zero with |x| < g - 1e-12 raises GapViolated;
+    margin is the least |x| - (g - 1e-12) over every level.
     """
     tilde = [(-1.0) ** k * ck for k, ck in enumerate(pair.c[:n], start=1)]
     if all(t == 0.0 for t in tilde):
@@ -138,7 +126,7 @@ def support_gap_check(
     ladder = zero_ladder(pair, n)
     margin = math.inf
     for zs in ladder:
-        dist = np.abs(zs.x) - (g - tol)
+        dist = np.abs(zs.x) - (g - _GAP_TOL)
         j = int(np.argmin(dist))
         if dist[j] < 0.0:
             raise GapViolated(zs.n, float(zs.x[j]), g)
@@ -155,5 +143,4 @@ def support_gap_check(
         theta_c=theta_c,
         margin=margin,
         observed_arcs=tuple(arcs),
-        tol=tol,
     )

@@ -118,6 +118,19 @@ def test_chain_sequence_shape_validation():
         ChainSequence.from_d((0.2, 0.2), tail_period=0)
 
 
+def test_chain_sequence_needs_minimal_parameters():
+    # m must be the minimal parameters of d: m_0 = 0, m_n in (0, 1) and
+    # d_n = (1 - m_{n-1}) m_n to rounding
+    with pytest.raises(InvalidParameters, match=r"m\[1\] = 0\.0 outside"):
+        ChainSequence(d=(0.3, 0.3), m=(0.0, 0.0, 0.0))
+    with pytest.raises(InvalidParameters, match="m_0 = 0"):
+        ChainSequence(d=(0.3, 0.3), m=(0.1, 0.3, 0.3 / 0.7))
+    with pytest.raises(InvalidParameters, match=r"d_2 = 0\.31 is not \(1 - m_1\) m_2"):
+        ChainSequence(d=(0.3, 0.31), m=(0.0, 0.3, 0.3 / 0.7))
+    chain = ChainSequence.from_d((0.3, 0.3))
+    assert ChainSequence(d=chain.d, m=chain.m) == chain
+
+
 def test_maximal_parameters_finite_prefix():
     # backward pass seeded at the stored end: M_2 = 1, M_1 = 1 - (1/4)/1,
     # M_0 = 1 - (1/2)/(3/4) = 1/3
@@ -166,6 +179,19 @@ def test_maximal_parameters_tail_not_a_chain_sequence(d, message):
     chain = ChainSequence.from_d((d, d), tail_period=1)  # a chain sequence prefix
     with pytest.raises(InputError, match=message):
         maximal_parameters(chain)
+
+
+def test_maximal_parameters_below_zero_mass():
+    # d = (0.6, 1/4, 1/4, ...) has M_1 = 1/2 and M_0 = 1 - 0.6/0.5 = -0.2 < 0:
+    # no chain sequence; d = (1/2, 1/4, ...) has M_0 = 0, which the seed's
+    # error of about sqrt(eps) at the double root 1/2 turns into -6e-9
+    with pytest.raises(InvalidParameters, match=r"M_0 = -0\.2\d* is below 0"):
+        maximal_parameters(ChainSequence.from_d((0.6, 0.25), tail_period=1))
+    assert maximal_parameters(ChainSequence.from_d((0.5, 0.25), tail_period=1)).M[0] == 0.0
+    # determinate tails have M_0 = 0, and the pass's rounding takes it below
+    # 0 (down to -6e-13) on 66 of these 400 chains: they read M_0 >= 0
+    for chain in random_tail_chains() + bench_style_chains():
+        assert maximal_parameters(chain).M[0] >= 0.0
 
 
 def test_is_determinate_comparator():

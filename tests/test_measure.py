@@ -7,6 +7,7 @@ import pytest
 
 from opuckit import make_pair, moments, quadrature, step_eval, verblunsky_to_pair
 from opuckit.errors import InvalidParameters
+from opuckit.measure import _SUM_TOL
 from conftest import random_pair
 
 
@@ -121,6 +122,14 @@ def test_node_next_to_z_one():
     assert 1.1e-3 < float(np.min(t)) < 1.3e-3
     assert np.all(meas.weights > 0.0)
     assert abs(float(np.sum(meas.weights)) - 1.0) <= 1e-12
+
+
+def test_zero_weight_deep_in_a_gap():
+    # a weight below the Schur vectors' absolute accuracy rounds to 0.0 here
+    # (weight 416), which is allowed: only a negative or NaN weight is an error
+    meas = quadrature(random_pair(np.random.default_rng(4), 500, c_scale=2.0), 500)
+    assert np.all(meas.weights >= 0.0)
+    assert abs(float(np.sum(meas.weights)) - 1.0) <= _SUM_TOL
 
 
 def test_weights_at_depth_200():

@@ -345,6 +345,21 @@ def test_gap_theorem_on_periodic_spectra(data):
     assert min_cos_half(spec) >= c / math.sqrt(1.0 + c * c) - 64 * p * EPS
 
 
+@pytest.mark.parametrize("p, seeds", [(64, range(20)), (48, [9])])
+def test_bands_thinner_than_rounding(p, seeds):
+    # the shortest arcs between sorted edges are 0 to 4e-15 rad on these
+    # blocks, and a thin band's two edges come out in either order, so their
+    # signs read + - + - where + - - + was due; pairing adjacent edges must
+    # still give p bands
+    for seed in seeds:
+        alpha = alternating_alpha(np.random.default_rng(seed), p, 0.2, 1.5, 0.2, 0.8)
+        spec = full_spectrum(alpha)
+        assert len(spec.bands) == len(spec.gaps) == p
+        assert len(spec.plus_solutions) == len(spec.minus_solutions) == p
+        report = normalization_report(alpha, spec)
+        assert abs(report["total"] - 1.0) <= normalization_bound(report, spec)
+
+
 def test_discriminant_bound_at_period_32():
     # the transfer entries reach 3e10 here while Delta near a band edge is 2,
     # so the imaginary rounding must be measured against the entries

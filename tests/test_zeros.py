@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from opuckit import make_pair, r_coeffs, support_gap_check, w_eval, w_zeros, zero_ladder, zeros
-from opuckit.errors import ClusterWarning, HypothesisViolated, InternalInvariant, InvalidParameters
+from opuckit.errors import HypothesisViolated, InternalInvariant, InvalidParameters
 from conftest import random_pair
 
 EPS = sys.float_info.epsilon
@@ -95,15 +95,6 @@ def test_against_companion_roots(rng):
     assert np.max(np.abs(np.abs(roots) - 1.0)) < 1e-8
     theta = np.sort(np.mod(np.angle(roots), 2.0 * math.pi))
     assert np.max(np.abs(theta - zs.theta)) < 1e-8
-
-
-def test_cluster_warning_for_nearby_pair():
-    # zero c and tiny d_2 give W_2 = x^2 - d_2 with roots +-sqrt(d_2)
-    pair = make_pair([0.0, 0.0], d=[0.5, 1e-8])
-    with pytest.warns(ClusterWarning):
-        zero_ladder(pair, 2, tol=1e-3)
-    with pytest.warns(ClusterWarning):
-        w_zeros(pair, 2, tol=1e-3)
 
 
 def test_ladder_validation(rng):
