@@ -18,7 +18,7 @@ from .errors import InternalInvariant
 from .measure import moments, quadrature, step_eval
 from .polynomials import r_coeffs, self_inversive_defect
 from .transforms import conjugate_pair, unfold_alternating
-from .zeros import support_gap_check, w_zeros, zero_ladder
+from .zeros import _GAP_TOL, support_gap_check, w_zeros, zero_ladder
 
 __all__ = ["run_checks"]
 
@@ -114,6 +114,14 @@ def check_support_gap() -> str:
     pair = make_pair(c, m=[0.0] + [0.5] * n)
     report = support_gap_check(pair, n)
     _require(report.margin >= 0.0, f"gap margin {report.margin!r}")
+    # the Sturm walks against every level's eigenvalues: two routes that
+    # share no code past the pair
+    g_tol = report.x_excluded[1] - _GAP_TOL
+    ladder = min(float(np.min(np.abs(zs.x))) for zs in zero_ladder(pair, n)) - g_tol
+    _require(
+        abs(report.margin - ladder) <= 16 * (n + 1) * _EPS,
+        f"gap margin {report.margin!r}, from the zero ladder {ladder!r}",
+    )
     return f"margin {report.margin:.3e}"
 
 

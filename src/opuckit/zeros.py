@@ -7,7 +7,13 @@ CMV matrix of alpha_0..alpha_{k-1} closed with alpha_k = conj(tau_k) (see
 cmv): one eigenvalue is z = 1, the other k are the zeros of R_k.  The ladder
 drops the eigenvalue nearest z = 1, maps the rest to x = cos(theta/2), and
 checks the interlacing of consecutive levels on its output.
-support_gap_check tests the paper's zero-free interval on every level.
+
+support_gap_check tests the paper's zero-free interval on every level
+without the ladder: the three-term recurrence of W_n gives a Sturm sign
+pattern at any point in O(n) (Wilkinson, The Algebraic Eigenvalue Problem,
+1965, ch. 5), with IEEE infinities in place of a pivot guard for a zero
+pivot (Marques, Riedy and Voemel, SIAM J. Sci. Comput. 28, 2006), and
+bisection on those patterns finds the zeros nearest the gap and the ends.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ _EPS = float(np.finfo(float).eps)
 # support_gap_check admits zeros down to |x| = g - _GAP_TOL: with constant
 # c~ and m = 1/2 the extreme zeros sit on +-g to rounding
 _GAP_TOL = 1e-12
+# points each walk of support_gap_check puts across its bracket per round
+_WALK_POINTS = 63
 
 
 @dataclass(frozen=True)
@@ -55,9 +63,13 @@ def zero_ladder(pair: SequencePair, n: int) -> list[ZeroSet]:
     return ladder
 
 
-def _verblunsky(pair: SequencePair, n: int) -> VerblunskySequence:
+def _check_depth(pair: SequencePair, n: int) -> None:
     if not 1 <= n <= len(pair):
         raise InvalidParameters(f"need 1 <= n <= {len(pair)}, got {n}")
+
+
+def _verblunsky(pair: SequencePair, n: int) -> VerblunskySequence:
+    _check_depth(pair, n)
     return pair_to_verblunsky(pair)
 
 
@@ -96,7 +108,10 @@ class SupportGapReport:
     x_excluded: tuple[float, float]
     theta_c: float
     margin: float
-    observed_arcs: tuple[tuple[float, float], ...]  # heuristic theta hulls
+    # per side of z = -1, the angles of the outermost and innermost zeros over
+    # every level: (theta <= pi) first, then (theta > pi); a side with no
+    # zero is left out
+    observed_arcs: tuple[tuple[float, float], ...]
 
 
 def support_gap_check(pair: SequencePair, n: int) -> SupportGapReport:
@@ -106,8 +121,18 @@ def support_gap_check(pair: SequencePair, n: int) -> SupportGapReport:
     stay within the two closed arcs ending at theta_c = arccos((c^2-1)/(c^2+1)).
     The uniform-sign magnitude floor c is inferred from the stored prefix; an
     all-zero c passes vacuously, a broken sign pattern raises
-    HypothesisViolated, and a zero with |x| < g - 1e-12 raises GapViolated;
-    margin is the least |x| - (g - 1e-12) over every level.
+    HypothesisViolated, and a zero with |x| < g' = g - 1e-12 raises
+    GapViolated; margin is the least |x| - g' over every level.
+
+    No eigenvalue is computed.  W_k = r_1 ... r_k for the ratios of
+    _sign_pattern, so by interlacing no level 1..n has a zero between two
+    points exactly when their sign patterns agree, and the lowest level whose
+    sign differs has one zero there.  Equal patterns at +-g' certify the gap;
+    otherwise GapViolated names that level and its zero.  Four walks, each
+    to the first point whose pattern differs from its start (down from 1, up
+    from -1, up from g' and down from -g', or both inner ones from just below
+    0 when g' <= 0), give the extreme zeros over every level to eps/2 in x:
+    the margin and the arcs.  Each costs O(n) per point.
     """
     tilde = [(-1.0) ** k * ck for k, ck in enumerate(pair.c[:n], start=1)]
     if all(t == 0.0 for t in tilde):
@@ -123,24 +148,80 @@ def support_gap_check(pair: SequencePair, n: int) -> SupportGapReport:
         )
     g = c_floor / math.sqrt(1.0 + c_floor * c_floor)
     theta_c = math.acos((c_floor**2 - 1.0) / (c_floor**2 + 1.0))
-    ladder = zero_ladder(pair, n)
-    margin = math.inf
-    for zs in ladder:
-        dist = np.abs(zs.x) - (g - _GAP_TOL)
-        j = int(np.argmin(dist))
-        if dist[j] < 0.0:
-            raise GapViolated(zs.n, float(zs.x[j]), g)
-        margin = min(margin, float(dist[j]))
-    all_theta = np.sort(np.concatenate([zs.theta for zs in ladder]))
-    arcs = []
-    for cluster in (all_theta[all_theta <= math.pi], all_theta[all_theta > math.pi]):
-        if cluster.size:
-            arcs.append((float(cluster[0]), float(cluster[-1])))
+    _check_depth(pair, n)
+    c = np.asarray(pair.c[:n], dtype=float)
+    d = pair.d[:n]
+    g_tol = g - _GAP_TOL
+    if g_tol > 0.0:
+        inner = np.array([g_tol, -g_tol])
+        signs = _sign_pattern(c, d, inner)
+        differ = np.flatnonzero(signs[:, 0] != signs[:, 1])
+        if differ.size:
+            k = int(differ[0]) + 1
+            x = _walks(c[:k], d[:k], inner[1:], inner[:1])[0]
+            raise GapViolated(k, float(x), g)
+    else:
+        # the pattern just below 0, so that a zero at x = 0 (theta = pi)
+        # joins the first arc, whose angles are <= pi
+        inner = np.full(2, np.nextafter(0.0, -1.0))
+    # interlacing puts the extreme zeros of every level on level n; the inner
+    # walks find the zeros nearest the gap on whichever levels hold them
+    top, bottom, upper, lower = _walks(
+        c, d, np.array([1.0, -1.0, inner[0], inner[1]]), np.array([-1.0, 1.0, 1.0, -1.0])
+    ).tolist()
+    arcs, nearest = [], []
+    if not math.isnan(upper):
+        arcs.append((2.0 * math.acos(top), 2.0 * math.acos(upper)))
+        nearest.append(upper)
+    if not math.isnan(lower):
+        arcs.append((2.0 * math.acos(lower), 2.0 * math.acos(bottom)))
+        nearest.append(-lower)
     return SupportGapReport(
         n=n,
         c_floor=c_floor,
         x_excluded=(-g, g),
         theta_c=theta_c,
-        margin=margin,
+        margin=min(nearest) - g_tol,
         observed_arcs=tuple(arcs),
     )
+
+
+def _sign_pattern(c: np.ndarray, d: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """np.signbit of r_k(x) = W_k(x)/W_{k-1}(x), k = 1..n, as an (n, P) array.
+
+    r_1 = x - c_1 s and r_{k+1} = (x - c_{k+1} s) - d_{k+1}/r_k, s = sqrt(1 - x^2).
+    A zero pivot r_k = +-0 makes the next one -+inf and the one after that
+    finite again, the one-sided limit on the side the zero's sign picks; a
+    subnormal pivot overflows the same way.
+    """
+    s = np.sqrt((1.0 - x) * (1.0 + x))
+    r = x - np.multiply.outer(c, s)
+    with np.errstate(divide="ignore", over="ignore"):
+        for prev, row, dk in zip(r, r[1:], d[1:]):
+            row -= dk / prev
+    return np.signbit(r)
+
+
+def _walks(c: np.ndarray, d: tuple[float, ...], start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """For each start, the first point towards its end whose sign pattern
+    differs from the start's: the nearest zero of any level 1..n, to within
+    eps/2, the spacing of the floats below 1.  NaN where end's pattern is the
+    start's, so that no level has a zero between them.
+
+    Each round puts _WALK_POINTS points across every bracket, all walks in
+    one array, and keeps the piece where the pattern first changes.
+    """
+    w, rows = start.size, np.arange(start.size)
+    signs = _sign_pattern(c, d, np.concatenate([start, end]))
+    ref = signs[:, :w, None]
+    found = np.any(signs[:, w:] != signs[:, :w], axis=0)
+    lo, hi = start, np.where(found, end, start)
+    frac = np.arange(1, _WALK_POINTS + 1) / (_WALK_POINTS + 1)
+    while np.any(np.abs(hi - lo) > 0.5 * _EPS):
+        pts = lo[:, None] + (hi - lo)[:, None] * frac
+        changed = np.any(_sign_pattern(c, d, pts.ravel()).reshape(c.size, w, -1) != ref, axis=0)
+        j = np.argmax(changed, axis=1)
+        hit = changed[rows, j]
+        lo = np.where(hit, np.concatenate([lo[:, None], pts], axis=1)[rows, j], pts[:, -1])
+        hi = np.where(hit, pts[rows, j], hi)
+    return np.where(found, hi, np.nan)

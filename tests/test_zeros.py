@@ -5,9 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opuckit import make_pair, r_coeffs, support_gap_check, w_eval, w_zeros, zero_ladder, zeros
-from opuckit.errors import HypothesisViolated, InternalInvariant, InvalidParameters
+from opuckit.errors import GapViolated, HypothesisViolated, InternalInvariant, InvalidParameters
 from conftest import random_pair
 
 EPS = sys.float_info.epsilon
@@ -140,6 +142,73 @@ def test_support_gap_constant_magnitude():
     report = support_gap_check(pair, n)
     assert abs(report.theta_c - math.pi / 2.0) < 1e-13
     assert report.margin >= 0.0
+
+
+def ladder_margin_and_arcs(pair, n):
+    """margin and observed_arcs of support_gap_check the way it was computed
+    from every level of zero_ladder, before the Sturm walks replaced it.
+
+    A zero within rounding of theta = pi is the exact zero x = 0 of an odd
+    level (c = 0); the eigenvalues put it on either side of pi, and it joins
+    the first arc, theta <= pi, where it belongs.
+    """
+    tilde = np.abs(pair.c[:n])
+    c_floor = float(np.min(tilde)) if np.any(tilde) else 0.0
+    g = c_floor / math.sqrt(1.0 + c_floor * c_floor)
+    ladder = zero_ladder(pair, n)
+    margin = min(float(np.min(np.abs(zs.x))) for zs in ladder) - (g - zeros._GAP_TOL)
+    theta = np.sort(np.concatenate([zs.theta for zs in ladder]))
+    pi = math.pi + 32 * (n + 1) * EPS
+    arcs = [(part[0], part[-1]) for part in (theta[theta <= pi], theta[theta > pi]) if part.size]
+    return margin, arcs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_support_gap_matches_ladder(data):
+    # c_k = sign (-1)^k c~_k for either sign, or c = 0 at the smaller depths
+    sign = data.draw(st.sampled_from([1.0, -1.0, 0.0]))
+    n = data.draw(st.integers(1, 120 if sign else 50))
+    tilde = data.draw(st.lists(st.floats(0.1, 1.5), min_size=n, max_size=n))
+    m = data.draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n))
+    c = sign * np.asarray(tilde) * (-1.0) ** np.arange(1, n + 1)
+    pair = make_pair(c, m=[0.0] + m)
+    report = support_gap_check(pair, n)
+    margin, arcs = ladder_margin_and_arcs(pair, n)
+    # x = cos(theta/2) to 16 (n+1) eps on both routes, so theta to twice that
+    # over |sin(theta/2)|, plus 32 (n+1) eps for the eigenvalues' backward
+    # error: the form of the benchmark's node_bound
+    assert abs(report.margin - margin) <= 16 * (n + 1) * EPS
+    assert len(report.observed_arcs) == len(arcs)
+    for got, want in zip(report.observed_arcs, arcs):
+        bound = 32 * (n + 1) * EPS * (1.0 / np.abs(np.sin(0.5 * np.asarray(want))) + 1.0)
+        assert np.all(np.abs(np.asarray(got) - want) <= bound)
+
+
+def test_support_gap_violation_names_level_and_zero(monkeypatch):
+    # the sharp pair has its level-1 zero on -g = -1/sqrt(2); admitting no
+    # zero within 1e-6 outside +-g puts that one inside
+    n = 10
+    pair = make_pair([(-1.0) ** k for k in range(1, n + 1)], m=[0.0] + [0.5] * n)
+    monkeypatch.setattr(zeros, "_GAP_TOL", -1e-6)
+    with pytest.raises(GapViolated) as caught:
+        support_gap_check(pair, n)
+    assert caught.value.level == 1
+    assert abs(caught.value.x + 1.0 / math.sqrt(2.0)) <= 4 * EPS
+
+
+def test_support_gap_without_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("support_gap_check called an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    n = 1000
+    rng = np.random.default_rng(23)
+    c = rng.uniform(0.3, 1.0, n) * (-1.0) ** np.arange(1, n + 1)
+    pair = make_pair(c, m=np.concatenate([[0.0], rng.uniform(0.2, 0.8, n)]))
+    report = support_gap_check(pair, n)
+    assert report.n == n and report.margin > 0.0 and len(report.observed_arcs) == 2
 
 
 def test_support_gap_vacuous_for_zero_c():
