@@ -28,7 +28,6 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-_DETERMINATE_TOL = 1e-8
 
 
 def _check_finite(values, name: str) -> np.ndarray:
@@ -211,22 +210,26 @@ def maximal_parameters(chain: ChainSequence) -> MaximalParameters:
     the limit of backward iteration seeded at 1 ever further out.  Its error is a
     few roundings of that period over 1 - P'(M_N), and about sqrt(eps) where
     the two fixed points merge (d_n -> 1/4).  An M_0 (the mass at z = 1)
-    below 0 within that error times dM_0/dM_N plus the pass's rounding is
-    returned as 0.0; further below, InvalidParameters."""
+    within that error times dM_0/dM_N plus the pass's rounding of 0 is
+    returned as 0.0; further below 0, InvalidParameters."""
     d, N, p = chain.d, len(chain.d), chain.tail_period
     start, error = (1.0, 0.0) if p is None else _fixed_point(d[N - p :], N)
     M, slope, noise = _backward(d, start, N)
-    if M[-1] < 0.0:
-        bound = slope * error + noise
-        if not -M[-1] <= bound:
-            raise InvalidParameters(
-                f"M_0 = {M[-1]!r} is below 0 by more than its error bound {bound!r}: "
-                "d with its periodic tail is not a chain sequence"
-            )
+    bound = slope * error + noise
+    if not M[-1] >= -bound:
+        raise InvalidParameters(
+            f"M_0 = {M[-1]!r} is below 0 by more than its error bound {bound!r}: "
+            "d with its periodic tail is not a chain sequence"
+        )
+    if M[-1] <= bound:
         M[-1] = 0.0
     return MaximalParameters(M=tuple(reversed(M)), tail_depth=p or 0)
 
 
 def is_determinate(chain: ChainSequence, maximal: MaximalParameters) -> bool:
-    """True when minimal and maximal parameters coincide within 1e-8."""
-    return max(abs(M - m) for M, m in zip(maximal.M, chain.m)) < _DETERMINATE_TOL
+    """True when the maximal parameters are the minimal ones: by Wall's
+    parametrisation of the parameter sequences by g_0 in [0, M_0] (Chihara,
+    An Introduction to Orthogonal Polynomials (1978), ch. III), exactly when
+    M_0 = 0, which maximal_parameters returns for an M_0 within its error
+    bound of 0."""
+    return maximal.M[0] == 0.0

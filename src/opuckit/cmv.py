@@ -9,10 +9,22 @@ alpha_0..alpha_{k-1}, closed with a unimodular alpha_k = beta, give the
 
 with the block of alpha_k cut to the 1x1 conj(beta).  The eigenvalues of C
 are the zeros of the para-orthogonal polynomial z phi_k - conj(beta) phi_k*,
-and the spectral measure of e_0 puts the mass |Z[0, j]|^2 on the j-th of them
-(Gauss-Szego quadrature; C is normal, so its Schur vectors Z are its
-eigenvectors).  The bijection's beta = conj(tau_k) makes z = 1 one eigenvalue
-and the k zeros of R_k the others.
+and the spectral measure of e_0 puts the mass |Q[0, j]|^2 on the j-th of them
+for unit eigenvectors Q (Gauss-Szego quadrature).  The bijection's
+beta = conj(tau_k) makes z = 1 one eigenvalue and the k zeros of R_k the
+others.
+
+Both come from one Hermitian eigenproblem.  With V = -e^{-i phi} C, the
+Cayley transform H = i (1 - V)(1 + V)^{-1} is Hermitian with C's
+eigenvectors, and an eigenvalue e^{i theta} of C becomes h = tan(psi/2),
+psi = theta - phi - pi, so theta = phi - pi + 2 arctan(h) mod 2 pi.  H is
+formed by one linear solve, made exactly Hermitian as (H + H^*)/2 and
+handed to numpy.linalg.eigh (eigvalsh when no weight is needed); its
+vectors are orthonormal to rounding, so the weights sum to one.  The pole
+e^{i phi} must stay away from the spectrum: zeros._poles places it by Sturm
+counts at least pi/(4(n+1)) from every eigenvalue of the (n+1)x(n+1) matrix,
+so ||H|| <= cot(pi/(8(n+1))), about 2.5 (n+1), and eigh's backward error
+moves an angle by O((n+1) eps).
 
 An even period alpha_0..alpha_{p-1} also gives the p x p Floquet matrix
 E(beta) = L M(beta) (Simon, OPUC vol. 2 chapter 11): the block of alpha_{p-1}
@@ -73,30 +85,45 @@ def floquet_matrix(alpha, beta: complex) -> np.ndarray:
     return _theta_sum(a, rho, 0) @ m
 
 
-def _split_at_one(z: np.ndarray):
-    """Index of the eigenvalue nearest z = 1; the angles in [0, 2 pi) of the
-    others, ascending, with their indices."""
-    j0 = int(np.argmin(np.abs(z - 1.0)))
-    rest = np.delete(np.arange(z.size), j0)
-    theta = np.mod(np.angle(z[rest]), 2.0 * math.pi)
+def _cayley(alpha, beta: complex, pole: float, vectors: bool):
+    """Ascending angles in [0, 2 pi) of the eigenvalues of C, from its Cayley
+    transform with the pole at e^{i pole}, and with vectors the first
+    components of its unit eigenvectors in the same order (else None)."""
+    u = cmv_matrix(alpha, beta)
+    eye = np.eye(u.shape[0])
+    v = -np.exp(-1j * pole) * u
+    h = 1j * np.linalg.solve(eye + v, eye - v)
+    h = 0.5 * (h + h.conj().T)
+    if vectors:
+        x, q = np.linalg.eigh(h)
+        first = q[0]
+    else:
+        x, first = np.linalg.eigvalsh(h), None
+    theta = np.mod(pole - math.pi + 2.0 * np.arctan(x), 2.0 * math.pi)
     order = np.argsort(theta)
-    return j0, theta[order], rest[order]
+    return theta[order], None if first is None else first[order]
 
 
-def para_orthogonal_angles(alpha, beta: complex) -> np.ndarray:
-    """Ascending angles of the eigenvalues of C, less the one nearest z = 1."""
-    return _split_at_one(np.linalg.eigvals(cmv_matrix(alpha, beta)))[1]
+def _nearest_one(theta: np.ndarray) -> int:
+    """Index of the angle nearest z = 1."""
+    return int(np.argmin(np.minimum(theta, 2.0 * math.pi - theta)))
 
 
-def gauss_szego(alpha, beta: complex) -> tuple[np.ndarray, np.ndarray]:
+def para_orthogonal_angles(alpha, beta: complex, pole: float) -> np.ndarray:
+    """Ascending angles of the eigenvalues of C, less the one nearest z = 1;
+    pole is an angle far from every eigenvalue (see _cayley)."""
+    theta = _cayley(alpha, beta, pole, vectors=False)[0]
+    return np.delete(theta, _nearest_one(theta))
+
+
+def gauss_szego(alpha, beta: complex, pole: float) -> tuple[np.ndarray, np.ndarray]:
     """Angles and weights of the spectral measure of e_0 under C.
 
     The eigenvalue nearest z = 1 comes first at angle exactly 0, then the
-    others with ascending angles; the weight of each is |Z[0, j]|^2.
+    others with ascending angles; the weight of each is |Q[0, j]|^2 for the
+    unit eigenvectors Q of the Cayley transform with its pole at e^{i pole}.
     """
-    from scipy.linalg import schur
-
-    t, z = schur(cmv_matrix(alpha, beta), output="complex")
-    j0, theta, rest = _split_at_one(np.diag(t))
-    w = np.abs(z[0]) ** 2
-    return np.concatenate([[0.0], theta]), np.concatenate([[w[j0]], w[rest]])
+    theta, first = _cayley(alpha, beta, pole, vectors=True)
+    j0 = _nearest_one(theta)
+    w = np.abs(first) ** 2
+    return np.concatenate([[0.0], np.delete(theta, j0)]), np.concatenate([[w[j0]], np.delete(w, j0)])

@@ -2,11 +2,12 @@
 
 psi_n is the Gauss-Szego rule of the (n+1)x(n+1) unitary CMV matrix of
 alpha_0..alpha_{n-1} closed with alpha_n = conj(tau_n) (see cmv): its nodes
-are z = 1 and the n zeros of R_n, and its weights lambda_{n,j} = |Z[0, j]|^2
-come from the Schur vectors Z of one complex Schur decomposition, so they are
-non-negative (deep in a spectral gap one can round to 0.0, below the vectors'
-accuracy of about n eps) and sum to one up to rounding.  The cumulative step
-function uses the left-open/right-closed branches
+are z = 1 and the n zeros of R_n, and its weights lambda_{n,j} = |Q[0, j]|^2
+come from the eigenvectors Q of the matrix's Hermitian Cayley transform H,
+whose pole is that of level n of zeros._poles, so they are non-negative (deep
+in a spectral gap one can round to 0.0, below the vectors' accuracy of about
+n eps) and sum to one up to rounding.  The cumulative step function uses the
+left-open/right-closed branches
 
     psi_n(0) = 0,   psi_n(theta) = sum_{j<=k} lambda_{n,j}
                     for theta in (theta_{n,k}, theta_{n,k+1}],
@@ -25,6 +26,7 @@ import numpy as np
 from .bijection import SequencePair, pair_to_verblunsky
 from .cmv import gauss_szego
 from .errors import InternalInvariant, InvalidParameters, NegativeWeight
+from .zeros import _poles
 
 __all__ = ["DiscreteMeasure", "quadrature", "moments", "step_eval"]
 
@@ -47,7 +49,7 @@ def quadrature(pair: SequencePair, n: int) -> DiscreteMeasure:
     if not 1 <= n <= len(pair):
         raise InvalidParameters(f"need 1 <= n <= {len(pair)}, got {n}")
     vs = pair_to_verblunsky(pair)
-    theta, lam = gauss_szego(vs.alpha[:n], vs.tau[n].conjugate())
+    theta, lam = gauss_szego(vs.alpha[:n], vs.tau[n].conjugate(), _poles(pair, n)[-1])
     bad = np.flatnonzero(~(lam >= 0.0))
     if bad.size:
         raise NegativeWeight(int(bad[0]), float(lam[bad[0]]))

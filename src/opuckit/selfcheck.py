@@ -114,8 +114,9 @@ def check_support_gap() -> str:
     pair = make_pair(c, m=[0.0] + [0.5] * n)
     report = support_gap_check(pair, n)
     _require(report.margin >= 0.0, f"gap margin {report.margin!r}")
-    # the Sturm walks against every level's eigenvalues: two routes that
-    # share no code past the pair
+    # the Sturm walks against every level's eigenvalues: the ladder takes
+    # only its poles from Sturm counts, and its angles do not depend on them
+    # past rounding
     g_tol = report.x_excluded[1] - _GAP_TOL
     ladder = min(float(np.min(np.abs(zs.x))) for zs in zero_ladder(pair, n)) - g_tol
     _require(

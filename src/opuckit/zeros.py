@@ -6,14 +6,16 @@ as outer bounds.  Level k is read off the spectrum of the (k+1)x(k+1) unitary
 CMV matrix of alpha_0..alpha_{k-1} closed with alpha_k = conj(tau_k) (see
 cmv): one eigenvalue is z = 1, the other k are the zeros of R_k.  The ladder
 drops the eigenvalue nearest z = 1, maps the rest to x = cos(theta/2), and
-checks the interlacing of consecutive levels on its output.
+checks the interlacing of consecutive levels on its output.  One pass of
+Sturm counts (below) places the pole of every level's Cayley transform.
 
 support_gap_check tests the paper's zero-free interval on every level
 without the ladder: the three-term recurrence of W_n gives a Sturm sign
 pattern at any point in O(n) (Wilkinson, The Algebraic Eigenvalue Problem,
 1965, ch. 5), with IEEE infinities in place of a pivot guard for a zero
 pivot (Marques, Riedy and Voemel, SIAM J. Sci. Comput. 28, 2006), and
-bisection on those patterns finds the zeros nearest the gap and the ends.
+bisection in theta on those patterns finds the zeros nearest the gap and the
+ends.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ class ZeroSet:
 
 
 def zero_ladder(pair: SequencePair, n: int) -> list[ZeroSet]:
-    """ZeroSets for every level 1..n, each from the eigenvalues of a CMV matrix.
+    """ZeroSets for every level 1..n, each from the eigenvalues of a CMV matrix,
+    with the poles of one _poles pass.
 
     Raises InternalInvariant, naming the level and the index, where two
     consecutive levels fail to interlace by more than 64 (k+1) eps; equality
@@ -55,8 +58,8 @@ def zero_ladder(pair: SequencePair, n: int) -> list[ZeroSet]:
     """
     vs = _verblunsky(pair, n)
     ladder: list[ZeroSet] = []
-    for level in range(1, n + 1):
-        zs = _level(vs, level)
+    for level, pole in enumerate(_poles(pair, n), start=1):
+        zs = _level(vs, level, pole)
         if ladder:
             _check_interlacing(ladder[-1].x[::-1], zs.x[::-1], level)
         ladder.append(zs)
@@ -73,9 +76,9 @@ def _verblunsky(pair: SequencePair, n: int) -> VerblunskySequence:
     return pair_to_verblunsky(pair)
 
 
-def _level(vs: VerblunskySequence, level: int) -> ZeroSet:
+def _level(vs: VerblunskySequence, level: int, pole: float) -> ZeroSet:
     """Level k of the ladder from the (k+1)x(k+1) CMV matrix closed by conj(tau_k)."""
-    theta = para_orthogonal_angles(vs.alpha[:level], vs.tau[level].conjugate())
+    theta = para_orthogonal_angles(vs.alpha[:level], vs.tau[level].conjugate(), pole)
     return ZeroSet(n=level, x=np.cos(0.5 * theta), theta=theta)
 
 
@@ -96,7 +99,35 @@ def _check_interlacing(lower: np.ndarray, upper: np.ndarray, level: int) -> None
 
 def w_zeros(pair: SequencePair, n: int) -> ZeroSet:
     """Level n of the ladder alone, without the levels below it."""
-    return _level(_verblunsky(pair, n), n)
+    vs = _verblunsky(pair, n)
+    return _level(vs, n, _poles(pair, n)[-1])
+
+
+def _poles(pair: SequencePair, n: int) -> np.ndarray:
+    """For each level k = 1..n, an angle at least pi/(4(n+1)) from every
+    eigenvalue of its CMV matrix: the pole of its Cayley transform (cmv).
+
+    One _sign_pattern pass over the G - 1 interior angles 2 pi j/G,
+    G = 4(n+1), counts by a cumsum over levels N_k, the number of level-k
+    zeros in (x, 1]: r_j(1) = 1 - m_j > 0, and by interlacing N_k - N_{k-1}
+    is 0 or 1.  The pole of level k is the centre of the longest run of grid
+    cells over which N_k does not change, leaving out the two cells next to
+    theta = 0, since z = 1 is an eigenvalue.  Each of the k <= n zeros
+    changes N_k over one cell, so runs exist, and a run of L cells keeps its
+    centre L pi/G >= pi/(4(n+1)) from every eigenvalue.  The Cayley transform
+    with that pole has ||H|| <= cot(pi/(8(n+1))), about 2.5 (n+1).
+    """
+    grid = 4 * (n + 1)
+    theta = 2.0 * math.pi * np.arange(1, grid) / grid
+    counts = np.cumsum(_sign_pattern(np.asarray(pair.c[:n], dtype=float), pair.d[:n], theta), axis=0)
+    # cell j + 1 lies between theta[j] and theta[j + 1]; run[k, j] is the
+    # number of unchanged cells of level k + 1 that end with it
+    changed = counts[:, 1:] != counts[:, :-1]
+    cells = np.arange(changed.shape[1])
+    run = cells - np.maximum.accumulate(np.where(changed, cells, -1), axis=1)
+    end = np.argmax(run, axis=1)
+    length = run[np.arange(n), end]
+    return 2.0 * math.pi * (end + 2 - 0.5 * length) / grid
 
 
 @dataclass(frozen=True)
@@ -127,12 +158,13 @@ def support_gap_check(pair: SequencePair, n: int) -> SupportGapReport:
     No eigenvalue is computed.  W_k = r_1 ... r_k for the ratios of
     _sign_pattern, so by interlacing no level 1..n has a zero between two
     points exactly when their sign patterns agree, and the lowest level whose
-    sign differs has one zero there.  Equal patterns at +-g' certify the gap;
-    otherwise GapViolated names that level and its zero.  Four walks, each
-    to the first point whose pattern differs from its start (down from 1, up
-    from -1, up from g' and down from -g', or both inner ones from just below
-    0 when g' <= 0), give the extreme zeros over every level to eps/2 in x:
-    the margin and the arcs.  Each costs O(n) per point.
+    sign differs has one zero there.  Equal patterns at x = +-g' certify the
+    gap; otherwise GapViolated names that level and its zero.  Four walks in
+    theta, each to the first angle whose pattern differs from its start (up
+    from 0, down from 2 pi, down from x = g' and up from x = -g', or both
+    inner ones from just past pi when g' <= 0), give the extreme zeros over
+    every level to the adjacent float: the margin and the arcs.  Each costs
+    O(n) per point.
     """
     tilde = [(-1.0) ** k * ck for k, ck in enumerate(pair.c[:n], start=1)]
     if all(t == 0.0 for t in tilde):
@@ -152,30 +184,31 @@ def support_gap_check(pair: SequencePair, n: int) -> SupportGapReport:
     c = np.asarray(pair.c[:n], dtype=float)
     d = pair.d[:n]
     g_tol = g - _GAP_TOL
+    two_pi = 2.0 * math.pi
     if g_tol > 0.0:
-        inner = np.array([g_tol, -g_tol])
+        inner = 2.0 * np.arccos([g_tol, -g_tol])
         signs = _sign_pattern(c, d, inner)
         differ = np.flatnonzero(signs[:, 0] != signs[:, 1])
         if differ.size:
             k = int(differ[0]) + 1
-            x = _walks(c[:k], d[:k], inner[1:], inner[:1])[0]
-            raise GapViolated(k, float(x), g)
+            theta = _walks(c[:k], d[:k], inner[1:], inner[:1])[0]
+            raise GapViolated(k, math.cos(0.5 * theta), g)
     else:
-        # the pattern just below 0, so that a zero at x = 0 (theta = pi)
+        # the pattern just past pi, so that a zero at x = 0 (theta = pi)
         # joins the first arc, whose angles are <= pi
-        inner = np.full(2, np.nextafter(0.0, -1.0))
+        inner = np.full(2, np.nextafter(math.pi, two_pi))
     # interlacing puts the extreme zeros of every level on level n; the inner
     # walks find the zeros nearest the gap on whichever levels hold them
     top, bottom, upper, lower = _walks(
-        c, d, np.array([1.0, -1.0, inner[0], inner[1]]), np.array([-1.0, 1.0, 1.0, -1.0])
+        c, d, np.array([0.0, two_pi, inner[0], inner[1]]), np.array([two_pi, 0.0, 0.0, two_pi])
     ).tolist()
     arcs, nearest = [], []
     if not math.isnan(upper):
-        arcs.append((2.0 * math.acos(top), 2.0 * math.acos(upper)))
-        nearest.append(upper)
+        arcs.append((top, upper))
+        nearest.append(math.cos(0.5 * upper))
     if not math.isnan(lower):
-        arcs.append((2.0 * math.acos(lower), 2.0 * math.acos(bottom)))
-        nearest.append(-lower)
+        arcs.append((lower, bottom))
+        nearest.append(-math.cos(0.5 * lower))
     return SupportGapReport(
         n=n,
         c_floor=c_floor,
@@ -186,15 +219,17 @@ def support_gap_check(pair: SequencePair, n: int) -> SupportGapReport:
     )
 
 
-def _sign_pattern(c: np.ndarray, d: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-    """np.signbit of r_k(x) = W_k(x)/W_{k-1}(x), k = 1..n, as an (n, P) array.
+def _sign_pattern(c: np.ndarray, d: tuple[float, ...], theta: np.ndarray) -> np.ndarray:
+    """np.signbit of r_k = W_k(x)/W_{k-1}(x), k = 1..n, as an (n, P) array,
+    at the angles theta in [0, 2 pi].
 
-    r_1 = x - c_1 s and r_{k+1} = (x - c_{k+1} s) - d_{k+1}/r_k, s = sqrt(1 - x^2).
-    A zero pivot r_k = +-0 makes the next one -+inf and the one after that
-    finite again, the one-sided limit on the side the zero's sign picks; a
-    subnormal pivot overflows the same way.
+    r_1 = x - c_1 s and r_{k+1} = (x - c_{k+1} s) - d_{k+1}/r_k, with
+    x = cos(theta/2) and s = sin(theta/2).  A zero pivot r_k = +-0 makes the
+    next one -+inf and the one after that finite again, the one-sided limit
+    on the side the zero's sign picks; a subnormal pivot overflows the same
+    way.
     """
-    s = np.sqrt((1.0 - x) * (1.0 + x))
+    x, s = np.cos(0.5 * theta), np.sin(0.5 * theta)
     r = x - np.multiply.outer(c, s)
     with np.errstate(divide="ignore", over="ignore"):
         for prev, row, dk in zip(r, r[1:], d[1:]):
@@ -203,25 +238,31 @@ def _sign_pattern(c: np.ndarray, d: tuple[float, ...], x: np.ndarray) -> np.ndar
 
 
 def _walks(c: np.ndarray, d: tuple[float, ...], start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """For each start, the first point towards its end whose sign pattern
-    differs from the start's: the nearest zero of any level 1..n, to within
-    eps/2, the spacing of the floats below 1.  NaN where end's pattern is the
-    start's, so that no level has a zero between them.
+    """For each start angle, the first angle towards its end whose sign
+    pattern differs from the start's: the nearest zero of any level 1..n, to
+    the float next to it.  NaN where end's pattern is the start's, so that no
+    level has a zero between them.
 
     Each round puts _WALK_POINTS points across every bracket, all walks in
-    one array, and keeps the piece where the pattern first changes.
+    one array, and keeps the piece where the pattern first changes, until
+    every bracket's ends are adjacent floats.  The first round evaluates the
+    starts and the ends with its points.
     """
     w, rows = start.size, np.arange(start.size)
-    signs = _sign_pattern(c, d, np.concatenate([start, end]))
-    ref = signs[:, :w, None]
-    found = np.any(signs[:, w:] != signs[:, :w], axis=0)
-    lo, hi = start, np.where(found, end, start)
     frac = np.arange(1, _WALK_POINTS + 1) / (_WALK_POINTS + 1)
-    while np.any(np.abs(hi - lo) > 0.5 * _EPS):
-        pts = lo[:, None] + (hi - lo)[:, None] * frac
-        changed = np.any(_sign_pattern(c, d, pts.ravel()).reshape(c.size, w, -1) != ref, axis=0)
+    lo, hi = start, end
+    pts = lo[:, None] + (hi - lo)[:, None] * frac
+    signs = _sign_pattern(c, d, np.concatenate([start, end, pts.ravel()]))
+    ref = signs[:, :w, None]
+    found = np.any(signs[:, w : 2 * w] != signs[:, :w], axis=0)
+    signs = signs[:, 2 * w :]
+    while True:
+        changed = np.any(signs.reshape(c.size, w, -1) != ref, axis=0)
         j = np.argmax(changed, axis=1)
         hit = changed[rows, j]
         lo = np.where(hit, np.concatenate([lo[:, None], pts], axis=1)[rows, j], pts[:, -1])
-        hi = np.where(hit, pts[rows, j], hi)
-    return np.where(found, hi, np.nan)
+        hi = np.where(found, np.where(hit, pts[rows, j], hi), lo)
+        if not np.any(np.nextafter(lo, hi) != hi):
+            return np.where(found, hi, np.nan)
+        pts = lo[:, None] + (hi - lo)[:, None] * frac
+        signs = _sign_pattern(c, d, pts.ravel())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,15 @@ def normalization_bound(report, spectrum):
     to 32."""
     eps = np.finfo(float).eps
     return report["ac_error"] + 16 * spectrum.p * eps * len(spectrum.pure_points)
+
+
+def cayley_node_bound(n):
+    """What an eigenvalue angle of an (n+1)x(n+1) CMV matrix may be off by on
+    the Cayley route of cmv: eigh's backward error, taken as 16 eps ||H|| (the
+    16 (n+1) eps of the benchmark's bounds with ||U|| = 1 replaced by ||H||),
+    with ||H|| <= cot(pi/(8(n+1))) for the pole that zeros._poles places,
+    moves theta = pole - pi + 2 arctan(h) by at most twice that."""
+    return 32.0 * np.finfo(float).eps / math.tan(math.pi / (8 * (n + 1)))
 
 
 @pytest.fixture

@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from opuckit import make_pair, moments, quadrature, step_eval, verblunsky_to_pair
+from opuckit import make_pair, moments, pair_to_verblunsky, quadrature, step_eval, verblunsky_to_pair
 from opuckit.errors import InvalidParameters
 from opuckit.measure import _SUM_TOL
-from conftest import random_pair
+from conftest import cayley_node_bound, random_pair
 
 
 def lebesgue_pair(n):
@@ -138,3 +139,96 @@ def test_weights_at_depth_200():
     meas = quadrature(pair, 200)
     assert np.all(meas.weights > 0.0)
     assert abs(float(np.sum(meas.weights)) - 1.0) <= 1e-12
+
+
+# ---- psi_n against a 48-digit oracle
+
+# the oracle's fixed point: a number v is the integer round(v 2^BITS)
+BITS = 160
+ONE = 1 << BITS
+
+
+def fixed(v):
+    return int(mp.nint(mp.ldexp(v, BITS)))
+
+
+def cis(angle):
+    """cos and sin of the fixed-point angle, in fixed point."""
+    with mp.workprec(BITS + 32):
+        a = mp.ldexp(angle, -BITS)
+        return fixed(mp.cos(a)), fixed(mp.sin(a))
+
+
+def gauss_szego_oracle(alpha, beta, theta):
+    """The nodes of psi_n next to the angles theta and their weights, from
+    the Szego recurrence phi_{k+1} = (z phi_k - conj(alpha_k) phi_k*)/rho_k,
+    phi_{k+1}* = (phi_k* - alpha_k z phi_k)/rho_k in 160-bit fixed point.
+
+    On |z| = 1, e^{i (arg beta - (n+1) t)/2} (z phi_n - conj(beta) phi_n*)
+    is i times a real function of t, whose zeros are the nodes; the secant
+    method refines each from its float start to about 40 digits.  The weight
+    of a node is the Christoffel number 1/sum_{k<=n} |phi_k(z)|^2.
+    """
+    n = len(alpha)
+    with mp.workprec(BITS + 32):
+        coeffs = [
+            (fixed(a.real), fixed(a.imag), fixed(1 / mp.sqrt(1 - mp.mpf(a.real) ** 2 - mp.mpf(a.imag) ** 2)))
+            for a in alpha
+        ]
+        half_arg = fixed(mp.atan2(beta.imag, beta.real) / 2)
+    br, bi = cis(2 * half_arg)
+
+    def evaluate(t):
+        zr, zi = cis(t)
+        pr, pi, qr, qi, total = ONE, 0, ONE, 0, ONE
+        for ar, ai, rinv in coeffs:
+            zpr, zpi = (zr * pr - zi * pi) >> BITS, (zr * pi + zi * pr) >> BITS
+            pr, pi, qr, qi = (
+                (zpr - ((ar * qr + ai * qi) >> BITS)) * rinv >> BITS,
+                (zpi - ((ar * qi - ai * qr) >> BITS)) * rinv >> BITS,
+                (qr - ((ar * zpr - ai * zpi) >> BITS)) * rinv >> BITS,
+                (qi - ((ar * zpi + ai * zpr) >> BITS)) * rinv >> BITS,
+            )
+            total += (pr * pr + pi * pi) >> BITS
+        zpr, zpi = (zr * pr - zi * pi) >> BITS, (zr * pi + zi * pr) >> BITS
+        wr, wi = cis(half_arg - (n + 1) * t // 2)
+        return wr * (zpi - ((br * qi - bi * qr) >> BITS)) + wi * (zpr - ((br * qr + bi * qi) >> BITS)), total
+
+    nodes, weights = [], []
+    for start in theta:
+        t = fixed(mp.mpf(float(start)))
+        u = t + (ONE >> 40)
+        ft, _ = evaluate(t)
+        fu, total = evaluate(u)
+        while abs(u - t) > ONE >> 110 and fu != ft:
+            t, u, ft = u, u - fu * (u - t) // (fu - ft), fu
+            fu, total = evaluate(u)
+        nodes.append(u / ONE)
+        weights.append(ONE / total)
+    return np.array(nodes), np.array(weights)
+
+
+def test_quadrature_against_high_precision_oracle():
+    # weights as the benchmark's weight_bound derives them, for the Cayley
+    # route: nodes to b = cayley_node_bound(n), eigenvectors to dv = b/sep,
+    # since the eigenvalues h = tan(psi/2) of H are at least sep/2 apart
+    rng = np.random.default_rng(2027)
+    checked = 0
+    for _ in range(30):
+        n = int(rng.integers(5, 91))
+        pair = random_pair(rng, n, c_scale=float(rng.uniform(0.0, 3.0)))
+        vs = pair_to_verblunsky(pair)
+        meas = quadrature(pair, n)
+        theta, w = gauss_szego_oracle(vs.alpha[:n], vs.tau[n].conjugate(), meas.theta)
+        if not abs(math.fsum(w) - 1.0) <= 1e-12:
+            continue
+        checked += 1
+        b = cayley_node_bound(n)
+        assert np.all(np.abs(np.angle(np.exp(1j * (meas.theta - theta)))) <= b)
+        gaps = np.abs(np.angle(np.exp(1j * (theta[:, None] - theta[None, :]))))
+        np.fill_diagonal(gaps, math.inf)
+        sep = gaps.min(axis=1)
+        dv = b / sep
+        bound = (n + 1 + 2.0 / sep) * w * b + 2.0 * np.sqrt(w) * dv + dv * dv
+        assert np.all(np.abs(meas.weights - w) <= bound)
+    assert checked >= 25

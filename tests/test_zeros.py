@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from opuckit import make_pair, r_coeffs, support_gap_check, w_eval, w_zeros, zero_ladder, zeros
 from opuckit.errors import GapViolated, HypothesisViolated, InternalInvariant, InvalidParameters
-from conftest import random_pair
+from conftest import cayley_node_bound, random_pair
 
 EPS = sys.float_info.epsilon
 
@@ -77,8 +77,8 @@ def test_interlacing_breach_names_level_and_index(rng, monkeypatch):
     pair = random_pair(rng, 6)
     real = zeros.para_orthogonal_angles
 
-    def shifted(alpha, beta):
-        theta = real(alpha, beta)
+    def shifted(alpha, beta, pole):
+        theta = real(alpha, beta, pole)
         if len(alpha) == 4:
             theta[2] = theta[3]  # past the zero of level 3 between them
         return theta
@@ -209,6 +209,22 @@ def test_support_gap_without_eigensolver(monkeypatch):
     pair = make_pair(c, m=np.concatenate([[0.0], rng.uniform(0.2, 0.8, n)]))
     report = support_gap_check(pair, n)
     assert report.n == n and report.margin > 0.0 and len(report.observed_arcs) == 2
+
+
+def test_support_gap_arc_ends_next_to_z_one():
+    # at n = 1000 this pair has zeros 1.5e-6 rad past z = 1 and 1.1e-12 rad
+    # before it; walks in theta match level n of the ladder at both ends to
+    # the eigenvalues' accuracy, where walks in x = cos(theta/2) would
+    # resolve an end t rad from z = 1 only to about eps/t
+    n = 1000
+    rng = np.random.default_rng(23)
+    c = rng.uniform(0.3, 1.0, n) * (-1.0) ** np.arange(1, n + 1)
+    pair = make_pair(c, m=np.concatenate([[0.0], rng.uniform(0.2, 0.8, n)]))
+    (first, _), (_, last) = support_gap_check(pair, n).observed_arcs
+    top = w_zeros(pair, n)
+    assert 2.0 * math.pi - top.theta[-1] < 1e-11
+    assert abs(first - top.theta[0]) <= cayley_node_bound(n)
+    assert abs(last - top.theta[-1]) <= cayley_node_bound(n)
 
 
 def test_support_gap_vacuous_for_zero_c():
