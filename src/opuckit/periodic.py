@@ -55,7 +55,6 @@ from .errors import (
     NotACandidate,
     OffBand,
 )
-from .polynomials import kappa_from_alpha, szego_eval
 
 __all__ = [
     "Band",
@@ -289,12 +288,25 @@ def band_structure(alpha) -> PeriodicSpectrum:
 
 
 def _h_values(alpha, theta):
-    """Im(e^{-i p theta/2} phi_p(e^{i theta})) with monic phi_p; its circle
-    zeros are exactly the zeros of pi(z) = phi_p* - phi_p."""
+    """Im(e^{-i p theta/2} phi_p(e^{i theta})) with orthonormal phi_p; its
+    circle zeros are exactly the zeros of pi(z) = phi_p* - phi_p.
+
+    The orthonormal Szego recurrence
+        phi_{k+1} = (z phi_k - conj(a_k) phi_k*)/rho_k,
+        phi_{k+1}* = (phi_k* - a_k z phi_k)/rho_k
+    keeps phi O(1) on the bands.  The monic phi_p times kappa_p = prod 1/rho_j
+    does not: kappa_p passes the largest float at 229 copies of 0.999.
+    """
     p = len(alpha)
     t = np.atleast_1d(np.asarray(theta, dtype=float))
-    st = szego_eval(alpha, np.exp(1j * t))
-    return (np.exp(-0.5j * p * t) * st.phi).imag
+    z = np.exp(1j * t)
+    phi = np.ones_like(z)
+    star = np.ones_like(z)
+    for a in alpha:
+        s = 1.0 / math.sqrt(1.0 - abs(a) ** 2)
+        zphi = z * phi
+        phi, star = s * (zphi - a.conjugate() * star), s * (star - a * zphi)
+    return (np.exp(-0.5j * p * t) * phi).imag
 
 
 def _candidates(alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -429,7 +441,7 @@ def ac_weight(alpha, theta):
             f"theta = {float(t[bad])!r} has |Delta| = {float(abs(delta[bad]))!r}"
             f" >= 2 - {_EDGE_TOL!r}"
         )
-    h = _h_values(alpha, t) * kappa_from_alpha(alpha)
+    h = _h_values(alpha, t)
     if np.any(np.abs(h) < 1e-300):
         raise DenominatorVanished("orthonormal phi_p is real at a band-interior point")
     out = np.sqrt(_four_minus_delta_sq(*parts)) / (2.0 * np.abs(h))
@@ -507,14 +519,14 @@ def _initial_panels(spectrum: PeriodicSpectrum):
     return np.array(edge), np.array(sign), np.array(lo), np.array(hi), np.array(touch)
 
 
-def _gk15(alpha, kappa: float, edge, sign, lo, hi, on_edge):
+def _gk15(alpha, edge, sign, lo, hi, on_edge):
     """G7-K15 over each panel [lo, hi] of u: the integral, the rule's error
     estimate, the rounding estimate, and whether rounding limits the panel.
 
-    The integrand is 2 u w(edge + sign u^2), with kappa h from _h_values; it
-    is 0 where rounding makes 4 - Delta^2 negative at an edge or h vanish,
-    the limit there.  kappa h is also the imaginary part of E11 + E12 (the
-    transfer product applied to (1, 1) gives the orthonormal phi_p); the
+    The integrand is 2 u w(edge + sign u^2), with h from _h_values; it is 0
+    where rounding makes 4 - Delta^2 negative at an edge or h vanish, the
+    limit there.  h is also the imaginary part of E11 + E12 (the transfer
+    product applied to (1, 1) gives the orthonormal phi_p); the
     Kronrod sum of |f| times the relative difference of the two is the
     rounding estimate, which is what limits the density next to a zero of h.
 
@@ -530,7 +542,7 @@ def _gk15(alpha, kappa: float, edge, sign, lo, hi, on_edge):
     t = (edge[:, None] + sign[:, None] * u * u).ravel()
     parts = _floquet_entries(alpha, t)
     q = _four_minus_delta_sq(*parts)
-    h = kappa * _h_values(alpha, t)
+    h = _h_values(alpha, t)
     size = np.abs(h)
     root = np.sqrt(np.maximum(q, 0.0))
     w = np.divide(root, 2.0 * size, out=np.zeros_like(size), where=size != 0.0)
@@ -567,11 +579,10 @@ def _ac_integral(alpha, spectrum: PeriodicSpectrum) -> tuple[float, float]:
     half-band.  The returned error is the rule's plus the rounding estimate,
     summed over the panels.
     """
-    kappa = kappa_from_alpha(alpha)
     tol = _AC_TOL * TWO_PI
     cap = _PANELS_PER_HALF_BAND * 2 * spectrum.p
     edge, sign, lo, hi, on_edge = _initial_panels(spectrum)
-    val, err, rounding, limited = _gk15(alpha, kappa, edge, sign, lo, hi, on_edge)
+    val, err, rounding, limited = _gk15(alpha, edge, sign, lo, hi, on_edge)
     while not float(np.sum(err)) <= tol:
         split = (err > tol / val.size) & ~limited
         n_split = int(np.count_nonzero(split))
@@ -589,7 +600,7 @@ def _ac_integral(alpha, spectrum: PeriodicSpectrum) -> tuple[float, float]:
             np.concatenate([mid, hi[split]]),
             np.concatenate([on_edge[split], np.zeros(n_split, dtype=bool)]),
         )
-        h_val, h_err, h_rounding, h_limited = _gk15(alpha, kappa, *halves)
+        h_val, h_err, h_rounding, h_limited = _gk15(alpha, *halves)
         pair_val = h_val[:n_split] + h_val[n_split:]
         change = np.abs(pair_val - val[split])
         stuck = (change <= 1e-5 * np.abs(pair_val)) & (

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import opuckit
+from opuckit import band_structure, make_pair, pair_to_verblunsky, selfcheck
 from opuckit.cli import main
 
 PAIR_TWO = '{"c": [0, 0], "d": [0.5, 0.25]}'
@@ -216,6 +217,31 @@ def test_weight_band_sampling(capsys, tmp_path):
     assert lines[0] == "theta,w"
 
 
+def alpha_doc(alpha):
+    return json.dumps({"alpha": [[a.real, a.imag] for a in alpha]})
+
+
+def test_weight_past_kappa_overflow(capsys):
+    # kappa_p = prod 1/rho_j passes the largest float at alpha[228]
+    doc = run_json(capsys, ["weight", "--grid", "300", "--input", alpha_doc([0.999] * 240)])
+    assert doc["p"] == 240 and len(doc["w"]) >= 300
+    assert all(math.isfinite(v) and v > 0.0 for v in doc["w"])
+
+
+def test_weight_skips_bands_thinner_than_rounding(capsys):
+    # 20 of this block's bands are under 1e-12 wide, and some of their
+    # midpoint samples have |Delta| > 2 once rounded; the command drops them
+    # instead of blaming the input
+    rng = np.random.default_rng(5)
+    c = rng.uniform(-1.5, 1.5, 64)
+    m = np.concatenate([[0.0], rng.uniform(0.1, 0.9, 64)])
+    alpha = pair_to_verblunsky(make_pair(c, m=m)).alpha
+    assert min(b.hi - b.lo for b in band_structure(alpha).bands) < 1e-12
+    doc = run_json(capsys, ["weight", "--grid", "300", "--input", alpha_doc(alpha)])
+    assert len(doc["w"]) > 300
+    assert all(math.isfinite(v) and v > 0.0 for v in doc["w"])
+
+
 def test_transform_conjugate(capsys):
     doc = run_json(
         capsys, ["transform", "--op", "conjugate", "--input", '{"c": [1, -2], "d": [0.5, 0.2]}']
@@ -329,6 +355,55 @@ def test_exit_2_bad_n(capsys):
     assert code == 2
 
 
+ALPHA_THREE = '{"alpha": [[0.3, 0.1], [-0.2, 0.4], [0.5, -0.1]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["periodic", "--p", "4", "--input", ALPHA_THREE], "InvalidParameters"),
+        (["weight", "--p", "0", "--input", ALPHA_THREE], "InvalidParameters"),
+        (["quadrature", "--moments", "-1", "--input", PAIR_TWO], "InvalidParameters"),
+        (["cdf", "--grid", "1", "--input", PAIR_TWO], "InvalidParameters"),
+        (["weight", "--theta", "x", "--input", '{"alpha": [[0.5, 0]]}'], "InvalidParameters"),
+        (["weight", "--theta", ",", "--input", '{"alpha": [[0.5, 0]]}'], "InvalidParameters"),
+        (["transform", "--op", "rotate", "--input", ALPHA_THREE], "InvalidParameters"),
+        (
+            ["transform", "--op", "rotate", "--beta", "1", "--input", ALPHA_THREE],
+            "InvalidParameters",
+        ),
+        (
+            ["transform", "--op", "rotate", "--beta", "a,b", "--input", ALPHA_THREE],
+            "InvalidParameters",
+        ),
+        (
+            ["transform", "--op", "unfold", "--input", '{"c": [-1, 1, 1], "m": [0.35, 0.25, 0.3]}'],
+            "HypothesisViolated",
+        ),
+    ],
+)
+def test_exit_2_option_checks(capsys, argv, kind):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert error_type(err) == kind
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--input", "x"],
+        ["demo", "--input", "x"],
+        ["pair2alpha", "--format", "json", "--input", PAIR_TWO],
+        ["periodic", "--outdir", "x", "--input", '{"alpha": [[0.5, 0]]}'],
+    ],
+)
+def test_options_that_do_nothing_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_exit_3_degenerate_backward_map(capsys):
     code, _, err = run(
         capsys, ["alpha2pair", "--input", '{"alpha": [[0.9999999999999999, 0]]}']
@@ -350,6 +425,26 @@ def test_check_command(capsys):
     assert doc["ok"] is True
     assert len(doc["checks"]) >= 10
     assert all(entry["ok"] for entry in doc["checks"])
+
+
+def test_check_exit_3_on_a_failed_entry(capsys, monkeypatch):
+    failed = [{"name": "broken", "ok": False, "detail": "InternalInvariant: planted"}]
+    monkeypatch.setattr(selfcheck, "run_checks", lambda: failed)
+    code, out, _ = run(capsys, ["check"])
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["ok"] is False and doc["checks"] == failed
+
+
+def test_exit_3_on_a_nonfinite_csv_cell(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("opuckit.cli.step_eval", lambda meas, theta: np.full(theta.size, np.nan))
+    code, out, err = run(
+        capsys,
+        ["cdf", "--grid", "4", "--input", PAIR_TWO, "--format", "csv", "--outdir", str(tmp_path)],
+    )
+    assert code == 3 and out == ""
+    assert error_type(err) == "InternalInvariant"
+    assert not (tmp_path / "cdf.csv").exists()
 
 
 def test_import_leaves_scipy_solvers_unloaded():

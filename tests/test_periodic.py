@@ -31,8 +31,10 @@ from opuckit.errors import (
     NoConvergence,
     NonRealDiscriminant,
     NotACandidate,
+    NumericsError,
     OffBand,
 )
+from opuckit.polynomials import kappa_from_alpha
 from opuckit.period_two import PeriodTwoParams, family_alpha
 from conftest import alternating_alpha, alternating_block, normalization_bound, random_alpha
 
@@ -423,6 +425,17 @@ def test_normalization_at_period_16():
         report = normalization_report(alpha, spec)
         assert abs(report["total"] - 1.0) <= normalization_bound(report, spec), seed
         assert report["ac_error"] <= 1e-10
+
+
+def test_normalization_past_kappa_overflow():
+    # kappa_p = prod 1/rho_j passes the largest float at alpha[228]; the
+    # density comes from the orthonormal recurrence, which never forms it
+    alpha = (0.999,) * 240
+    with pytest.raises(NumericsError, match="kappa overflows"):
+        kappa_from_alpha(alpha)
+    spec = full_spectrum(alpha)
+    report = normalization_report(alpha, spec)
+    assert abs(report["total"] - 1.0) <= normalization_bound(report, spec)
 
 
 def test_candidate_check_names_index_and_value(monkeypatch):
