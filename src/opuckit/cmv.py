@@ -7,31 +7,47 @@ alpha_0..alpha_{k-1}, closed with a unimodular alpha_k = beta, give the
     Theta_j = [[conj(alpha_j), rho_j], [rho_j, -alpha_j]],  rho_j = sqrt(1 - |alpha_j|^2),
     L = Theta_0 + Theta_2 + ...,   M = 1 + Theta_1 + Theta_3 + ...   (direct sums),
 
-with the block of alpha_k cut to the 1x1 conj(beta).  The eigenvalues of C
-are the zeros of the para-orthogonal polynomial z phi_k - conj(beta) phi_k*,
-and the spectral measure of e_0 puts the mass |Q[0, j]|^2 on the j-th of them
-for unit eigenvectors Q (Gauss-Szego quadrature).  The bijection's
-beta = conj(tau_k) makes z = 1 one eigenvalue and the k zeros of R_k the
-others.
+with the block of alpha_k cut to the 1x1 conj(beta).  The blocks of L and M
+are offset by one, so every entry of C is a single product: rows 2j and
+2j + 1 are Theta_{2j} times row 2j of M (rho_{2j-1}, -alpha_{2j-1} in columns
+2j - 1, 2j) and row 2j + 1 (conj(alpha_{2j+1}), rho_{2j+1} in columns
+2j + 1, 2j + 2), the five diagonals of Simon's section 4.2.  _product fills
+them from these closed forms; M's leading 1 is the lower right entry of a
+Theta_{-1} = diag(-1, 1).
 
-Both come from one Hermitian eigenproblem.  With V = -e^{-i phi} C, the
-Cayley transform H = i (1 - V)(1 + V)^{-1} is Hermitian with C's
-eigenvectors, and an eigenvalue e^{i theta} of C becomes h = tan(psi/2),
-psi = theta - phi - pi, so theta = phi - pi + 2 arctan(h) mod 2 pi.  H is
-formed by one linear solve, made exactly Hermitian as (H + H^*)/2 and
-handed to numpy.linalg.eigh (eigvalsh when no weight is needed); its
-vectors are orthonormal to rounding, so the weights sum to one.  The pole
-e^{i phi} must stay away from the spectrum: zeros._poles places it by Sturm
-counts at least pi/(4(n+1)) from every eigenvalue of the (n+1)x(n+1) matrix,
-so ||H|| <= cot(pi/(8(n+1))), about 2.5 (n+1), and eigh's backward error
-moves an angle by O((n+1) eps).
+The eigenvalues of C are the zeros of the para-orthogonal polynomial
+z phi_k - conj(beta) phi_k*, and the spectral measure of e_0 puts the mass
+|Q[0, j]|^2 on the j-th of them for unit eigenvectors Q (Gauss-Szego
+quadrature).  The bijection's beta = conj(tau_k) makes z = 1 one eigenvalue
+and the k zeros of R_k the others.  All levels k = 1..n come from one
+(n+1)x(n+1) matrix U of alpha_0..alpha_{n-1}: level k is the leading block
+U[:k+1, :k+1] with one line replaced, since conj(beta) = tau_k is the whole
+cut block Theta_k.  For odd k, Theta_k lies in M, and column k becomes
+L[:k+1, k] tau_k; for even k it lies in L, and row k becomes tau_k M[k, :k+1].
+Either line is tau_k (rho_{k-1}, -alpha_{k-1}) at k - 1, k and 0 elsewhere,
+which leaves two entries of the block to replace (cayley_level).
+
+Both come from one Hermitian eigenproblem per level.  With V = -e^{-i phi} C
+and g = (1 + V)^{-1}, the Cayley transform H = i (1 - V)(1 + V)^{-1}
+= i (2 g - 1) is Hermitian with C's eigenvectors, and an eigenvalue
+e^{i theta} of C becomes h = tan(psi/2), psi = theta - phi - pi, so
+theta = phi - pi + 2 arctan(h) mod 2 pi (cayley_angles).  One inverse gives
+g, whose Hermitian part i (g - g^*) is H made exactly Hermitian; it goes to
+numpy.linalg.eigh (eigvalsh when no weight is needed), whose vectors are
+orthonormal to rounding, so the weights sum to one.  The pole e^{i phi} must
+stay away from the spectrum: zeros._poles places it by Sturm counts at least
+pi/(4(n+1)) from every eigenvalue of the (n+1)x(n+1) matrix, so
+||H|| <= cot(pi/(8(n+1))), about 2.5 (n+1), and eigh's backward error moves
+an angle by O((n+1) eps).
 
 An even period alpha_0..alpha_{p-1} also gives the p x p Floquet matrix
 E(beta) = L M(beta) (Simon, OPUC vol. 2 chapter 11): the block of alpha_{p-1}
 wraps from index p - 1 back to index 0 with the unimodular quasi-momentum
 beta.  Its eigenvalues are the z = e^{i theta} where the discriminant
 e^{-i p theta/2} Tr T_p(z) equals beta + 1/beta, so beta = +1 and beta = -1
-give the band edges where it is +2 and -2.
+give the band edges where it is +2 and -2.  The wrapped block makes column
+-1 of the fill column p - 1 and column p column 0; at p = 2 these add to
+entries of their own, since M is then full.
 """
 
 from __future__ import annotations
@@ -40,22 +56,36 @@ import math
 
 import numpy as np
 
-__all__ = ["cmv_matrix", "floquet_matrix", "para_orthogonal_angles", "gauss_szego"]
+__all__ = ["cmv_matrix", "floquet_matrix", "cayley_level", "cayley_angles", "nearest_one", "gauss_szego"]
 
 
-def _theta_sum(a: np.ndarray, rho: np.ndarray, first: int) -> np.ndarray:
-    """Direct sum of the Theta_j with j = first, first + 2, ... (and a leading 1 if first = 1)."""
-    size = a.size
-    out = np.zeros((size, size), dtype=complex)
-    if first:
-        out[0, 0] = 1.0
-    j = np.arange(first, size, 2)
-    out[j, j] = np.conj(a[j])
-    j = j[j < size - 1]
-    out[j, j + 1] = rho[j]
-    out[j + 1, j] = rho[j]
-    out[j + 1, j + 1] = -a[j]
-    return out
+def _product(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """L M from a = (alpha_{-1}, alpha_0, ...) and rho alike: with P = a.size // 2
+    row pairs, the 2P x (2P + 2) array whose column c + 1 holds column
+    c = -1..2P of L M (an odd size of L M fills one row more).
+
+    Rows 2j, 2j + 1 in columns 2j - 1, 2j are column 0 of Theta_{2j} times
+    row 1 of Theta_{2j-1}, and in columns 2j + 1, 2j + 2 column 1 of
+    Theta_{2j} times row 0 of Theta_{2j+1}.  The 2 x 4 window of row pair j
+    starts 2j (width + 1) entries into the buffer; the windows are written
+    through one strided view of it.
+    """
+    pairs = a.size // 2
+    theta = np.zeros((2 * pairs + 1, 2, 2), dtype=complex)
+    theta[: a.size, 0, 0] = a.conj()
+    theta[: a.size, 0, 1] = theta[: a.size, 1, 0] = rho
+    theta[: a.size, 1, 1] = -a
+    width = 2 * pairs + 2
+    buf = np.zeros(2 * pairs * width, dtype=complex)
+    item = buf.itemsize
+    windows = np.ndarray(
+        (pairs, 2, 2, 2), dtype=complex, buffer=buf,
+        strides=(2 * (width + 1) * item, width * item, 2 * item, item),
+    )
+    even = theta[1::2]
+    np.multiply(even[:, :, 0, None], theta[0:-1:2, None, 1], out=windows[:, :, 0])
+    np.multiply(even[:, :, 1, None], theta[2::2, None, 0], out=windows[:, :, 1])
+    return buf.reshape(2 * pairs, width)
 
 
 def _rho(a: np.ndarray) -> np.ndarray:
@@ -65,9 +95,10 @@ def _rho(a: np.ndarray) -> np.ndarray:
 
 def cmv_matrix(alpha, beta: complex) -> np.ndarray:
     """The (k+1)x(k+1) CMV matrix L M of alpha_0..alpha_{k-1} closed by |beta| = 1."""
-    a = np.append(np.asarray(alpha, dtype=complex), complex(beta))
-    rho = _rho(a[:-1])
-    return _theta_sum(a, rho, 0) @ _theta_sum(a, rho, 1)
+    k = len(alpha)
+    a = np.concatenate([[-1.0], alpha, [beta]])
+    rho = np.concatenate([[0.0], _rho(a[1:-1]), [0.0]])
+    return _product(a, rho)[: k + 1, 1 : k + 2]
 
 
 def floquet_matrix(alpha, beta: complex) -> np.ndarray:
@@ -77,43 +108,53 @@ def floquet_matrix(alpha, beta: complex) -> np.ndarray:
     M[0, 0] = -alpha_{p-1}, M[p-1, 0] = rho_{p-1} beta, M[0, p-1] = rho_{p-1}/beta.
     """
     a = np.asarray(alpha, dtype=complex)
-    rho = _rho(a)
-    m = _theta_sum(a, rho, 1)
-    m[0, 0] = -a[-1]
-    m[-1, 0] = rho[-1] * beta
-    m[0, -1] = rho[-1] / beta
-    return _theta_sum(a, rho, 0) @ m
+    a = np.concatenate([a[-1:], a])
+    rho = _rho(a).astype(complex)
+    rho[0] /= beta
+    rho[-1] *= beta
+    out = _product(a, rho)
+    u = out[:, 1:-1]
+    u[:, -1] += out[:, 0]
+    u[:, 0] += out[:, -1]
+    return u
 
 
-def _cayley(alpha, beta: complex, pole: float, vectors: bool):
-    """Ascending angles in [0, 2 pi) of the eigenvalues of C, from its Cayley
-    transform with the pole at e^{i pole}, and with vectors the first
-    components of its unit eigenvectors in the same order (else None)."""
-    u = cmv_matrix(alpha, beta)
-    eye = np.eye(u.shape[0])
-    v = -np.exp(-1j * pole) * u
-    h = 1j * np.linalg.solve(eye + v, eye - v)
-    h = 0.5 * (h + h.conj().T)
+def cayley_level(u: np.ndarray, k: int, a: complex, tau: complex, pole: float, vectors: bool = False):
+    """Ascending eigenvalues h of the Hermitian Cayley transform, pole
+    e^{i pole}, of level k: the leading (k+1)x(k+1) block of u, a CMV matrix
+    of alpha_0..alpha_{n-1}, n >= k, with its line k set to
+    tau (rho_{k-1}, -alpha_{k-1}), a = alpha_{k-1}.  With vectors, also the
+    first components of the unit eigenvectors in the same order (else None).
+    """
+    scale = -complex(math.cos(pole), -math.sin(pole))
+    v = scale * u[: k + 1, : k + 1]
+    r = abs(a)
+    line = scale * tau * math.sqrt((1.0 - r) * (1.0 + r)), -scale * tau * a
+    if k % 2:
+        v[k - 1, k], v[k, k] = line
+    else:
+        v[k, k - 1], v[k, k] = line
+    v.flat[:: k + 2] += 1.0
+    g = np.linalg.inv(v)
+    h = 1j * (g - g.conj().T)
     if vectors:
         x, q = np.linalg.eigh(h)
-        first = q[0]
-    else:
-        x, first = np.linalg.eigvalsh(h), None
-    theta = np.mod(pole - math.pi + 2.0 * np.arctan(x), 2.0 * math.pi)
-    order = np.argsort(theta)
-    return theta[order], None if first is None else first[order]
+        return x, q[0]
+    return np.linalg.eigvalsh(h), None
 
 
-def _nearest_one(theta: np.ndarray) -> int:
-    """Index of the angle nearest z = 1."""
-    return int(np.argmin(np.minimum(theta, 2.0 * math.pi - theta)))
+def cayley_angles(h, pole):
+    """Angles in [0, 2 pi) of the eigenvalues h of a Cayley transform with
+    its pole at e^{i pole}."""
+    return np.mod(pole - math.pi + 2.0 * np.arctan(h), 2.0 * math.pi)
 
 
-def para_orthogonal_angles(alpha, beta: complex, pole: float) -> np.ndarray:
-    """Ascending angles of the eigenvalues of C, less the one nearest z = 1;
-    pole is an angle far from every eigenvalue (see _cayley)."""
-    theta = _cayley(alpha, beta, pole, vectors=False)[0]
-    return np.delete(theta, _nearest_one(theta))
+def nearest_one(theta: np.ndarray, first, last):
+    """Index of the angle nearest z = 1 in each ascending run
+    theta[first..last] of angles in [0, 2 pi): the run's first or its last."""
+    ends = np.array([first, last])
+    near = np.minimum(theta[ends], 2.0 * math.pi - theta[ends])
+    return np.where(near[0] <= near[1], first, last)
 
 
 def gauss_szego(alpha, beta: complex, pole: float) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +164,11 @@ def gauss_szego(alpha, beta: complex, pole: float) -> tuple[np.ndarray, np.ndarr
     others with ascending angles; the weight of each is |Q[0, j]|^2 for the
     unit eigenvectors Q of the Cayley transform with its pole at e^{i pole}.
     """
-    theta, first = _cayley(alpha, beta, pole, vectors=True)
-    j0 = _nearest_one(theta)
-    w = np.abs(first) ** 2
+    k = len(alpha)
+    u = cmv_matrix(alpha, beta)
+    h, first = cayley_level(u, k, complex(alpha[-1]), complex(beta).conjugate(), pole, vectors=True)
+    theta = cayley_angles(h, pole)
+    order = np.argsort(theta)
+    theta, w = theta[order], np.abs(first[order]) ** 2
+    j0 = int(nearest_one(theta, 0, k))
     return np.concatenate([[0.0], np.delete(theta, j0)]), np.concatenate([[w[j0]], np.delete(w, j0)])

@@ -5,9 +5,13 @@ exactly n simple zeros in (-1, 1), and consecutive levels interlace with +-1
 as outer bounds.  Level k is read off the spectrum of the (k+1)x(k+1) unitary
 CMV matrix of alpha_0..alpha_{k-1} closed with alpha_k = conj(tau_k) (see
 cmv): one eigenvalue is z = 1, the other k are the zeros of R_k.  The ladder
-drops the eigenvalue nearest z = 1, maps the rest to x = cos(theta/2), and
-checks the interlacing of consecutive levels on its output.  One pass of
-Sturm counts (below) places the pole of every level's Cayley transform.
+factors one CMV matrix U = L M of alpha_0..alpha_{n-1} and takes level k as
+its leading (k+1)x(k+1) block with line k replaced: column k for odd k, row
+k for even k, tau_k (rho_{k-1}, -alpha_{k-1}) at k - 1, k.  Each level then
+costs one inverse and one eigvalsh of its Cayley transform; the angles, the
+sort, the drop of the eigenvalue nearest z = 1, x = cos(theta/2) and the
+interlacing check of consecutive levels run once over all levels.  One pass
+of Sturm counts (below) places the pole of every level's Cayley transform.
 
 support_gap_check tests the paper's zero-free interval on every level
 without the ladder: the three-term recurrence of W_n gives a Sturm sign
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bijection import SequencePair, VerblunskySequence, pair_to_verblunsky
-from .cmv import para_orthogonal_angles
+from .bijection import SequencePair, pair_to_verblunsky
+from .cmv import cayley_angles, cayley_level, cmv_matrix, nearest_one
 from .errors import GapViolated, HypothesisViolated, InternalInvariant, InvalidParameters
 
 __all__ = ["ZeroSet", "SupportGapReport", "zero_ladder", "w_zeros", "support_gap_check"]
@@ -49,21 +53,26 @@ class ZeroSet:
 
 
 def zero_ladder(pair: SequencePair, n: int) -> list[ZeroSet]:
-    """ZeroSets for every level 1..n, each from the eigenvalues of a CMV matrix,
-    with the poles of one _poles pass.
+    """ZeroSets for every level 1..n, from one CMV matrix of alpha_0..alpha_{n-1}
+    and the poles of one _poles pass (see _levels).
 
     Raises InternalInvariant, naming the level and the index, where two
     consecutive levels fail to interlace by more than 64 (k+1) eps; equality
     is allowed, since levels can share a zero to rounding.
     """
-    vs = _verblunsky(pair, n)
-    ladder: list[ZeroSet] = []
-    for level, pole in enumerate(_poles(pair, n), start=1):
-        zs = _level(vs, level, pole)
-        if ladder:
-            _check_interlacing(ladder[-1].x[::-1], zs.x[::-1], level)
-        ladder.append(zs)
-    return ladder
+    theta, x = _levels(pair, n, 1)
+    _check_interlacing(x, n)
+    cuts = np.cumsum(np.arange(1, n))
+    return [
+        ZeroSet(n=k, x=xk, theta=tk)
+        for k, xk, tk in zip(range(1, n + 1), np.split(x, cuts), np.split(theta, cuts))
+    ]
+
+
+def w_zeros(pair: SequencePair, n: int) -> ZeroSet:
+    """Level n of the ladder alone, without the levels below it."""
+    theta, x = _levels(pair, n, n)
+    return ZeroSet(n=n, x=x, theta=theta)
 
 
 def _check_depth(pair: SequencePair, n: int) -> None:
@@ -71,36 +80,50 @@ def _check_depth(pair: SequencePair, n: int) -> None:
         raise InvalidParameters(f"need 1 <= n <= {len(pair)}, got {n}")
 
 
-def _verblunsky(pair: SequencePair, n: int) -> VerblunskySequence:
+def _levels(pair: SequencePair, n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """theta and x = cos(theta/2) of levels first..n one after the other,
+    each level's angles ascending.
+
+    Each level is one cayley_level step on the slices of a single CMV matrix;
+    the angles, the sort and the drop of the eigenvalue nearest z = 1 then
+    run once over all levels.
+    """
     _check_depth(pair, n)
-    return pair_to_verblunsky(pair)
+    vs = pair_to_verblunsky(pair)
+    u = cmv_matrix(vs.alpha[:n], vs.tau[n].conjugate())
+    poles = _poles(pair, n)[first - 1 :]
+    levels = np.arange(first, n + 1)
+    h = [
+        cayley_level(u, k, vs.alpha[k - 1], vs.tau[k], pole)[0]
+        for k, pole in zip(levels.tolist(), poles.tolist())
+    ]
+    size = levels + 1
+    level = np.repeat(levels, size)
+    theta = cayley_angles(np.concatenate(h), np.repeat(poles, size))
+    theta = theta[np.lexsort((theta, level))]
+    last = np.cumsum(size) - 1
+    theta = np.delete(theta, nearest_one(theta, last - levels, last))
+    return theta, np.cos(0.5 * theta)
 
 
-def _level(vs: VerblunskySequence, level: int, pole: float) -> ZeroSet:
-    """Level k of the ladder from the (k+1)x(k+1) CMV matrix closed by conj(tau_k)."""
-    theta = para_orthogonal_angles(vs.alpha[:level], vs.tau[level].conjugate(), pole)
-    return ZeroSet(n=level, x=np.cos(0.5 * theta), theta=theta)
-
-
-def _check_interlacing(lower: np.ndarray, upper: np.ndarray, level: int) -> None:
-    """upper[i] <= lower[i] <= upper[i+1] for ascending levels k - 1 and k."""
-    slack = 64.0 * (level + 1) * _EPS
-    below = ~(upper[:-1] <= lower + slack)
-    above = ~(lower <= upper[1:] + slack)
-    bad = np.flatnonzero(below | above)
+def _check_interlacing(x: np.ndarray, n: int) -> None:
+    """x_k[j + 1] <= x_{k-1}[j] <= x_k[j] for levels k = 2..n, each
+    descending in x one after the other; index i = k - 2 - j counts in
+    ascending x."""
+    k = np.repeat(np.arange(2, n + 1), np.arange(1, n))
+    q = np.arange(k.size)
+    lower, hi, lo = x[: k.size], x[q + k - 1], x[q + k]
+    slack = 64.0 * (k + 1) * _EPS
+    bad = np.flatnonzero(~(lo <= lower + slack) | ~(lower <= hi + slack))
     if bad.size:
-        i = int(bad[0])
+        level = int(k[bad[0]])
+        b = int(bad[k[bad] == level][-1])
+        i = level - 2 - (b - (level - 1) * (level - 2) // 2)
         raise InternalInvariant(
             f"levels {level - 1} and {level} do not interlace at index {i}: "
-            f"x = {float(lower[i])!r} at level {level - 1} outside "
-            f"[{float(upper[i])!r}, {float(upper[i + 1])!r}]"
+            f"x = {float(lower[b])!r} at level {level - 1} outside "
+            f"[{float(lo[b])!r}, {float(hi[b])!r}]"
         )
-
-
-def w_zeros(pair: SequencePair, n: int) -> ZeroSet:
-    """Level n of the ladder alone, without the levels below it."""
-    vs = _verblunsky(pair, n)
-    return _level(vs, n, _poles(pair, n)[-1])
 
 
 def _poles(pair: SequencePair, n: int) -> np.ndarray:
@@ -243,12 +266,12 @@ def _walks(c: np.ndarray, d: tuple[float, ...], start: np.ndarray, end: np.ndarr
     the float next to it.  NaN where end's pattern is the start's, so that no
     level has a zero between them.
 
-    Each round puts _WALK_POINTS points across every bracket, all walks in
-    one array, and keeps the piece where the pattern first changes, until
-    every bracket's ends are adjacent floats.  The first round evaluates the
-    starts and the ends with its points.
+    Each round puts _WALK_POINTS points across the bracket of every walk
+    still open, all in one array, and keeps the piece where the pattern first
+    changes; a walk closes once its bracket's ends are adjacent floats.  The
+    first round evaluates the starts and the ends with its points.
     """
-    w, rows = start.size, np.arange(start.size)
+    w = start.size
     frac = np.arange(1, _WALK_POINTS + 1) / (_WALK_POINTS + 1)
     lo, hi = start, end
     pts = lo[:, None] + (hi - lo)[:, None] * frac
@@ -256,13 +279,21 @@ def _walks(c: np.ndarray, d: tuple[float, ...], start: np.ndarray, end: np.ndarr
     ref = signs[:, :w, None]
     found = np.any(signs[:, w : 2 * w] != signs[:, :w], axis=0)
     signs = signs[:, 2 * w :]
+    out = np.full(w, np.nan)
+    walks = np.arange(w)
     while True:
-        changed = np.any(signs.reshape(c.size, w, -1) != ref, axis=0)
+        changed = np.any(signs.reshape(c.size, walks.size, -1) != ref, axis=0)
         j = np.argmax(changed, axis=1)
+        rows = np.arange(walks.size)
         hit = changed[rows, j]
         lo = np.where(hit, np.concatenate([lo[:, None], pts], axis=1)[rows, j], pts[:, -1])
         hi = np.where(found, np.where(hit, pts[rows, j], hi), lo)
-        if not np.any(np.nextafter(lo, hi) != hi):
-            return np.where(found, hi, np.nan)
+        still = np.nextafter(lo, hi) != hi
+        if not still.all():
+            done = ~still & found
+            out[walks[done]] = hi[done]
+            if not still.any():
+                return out
+            walks, lo, hi, found, ref = walks[still], lo[still], hi[still], found[still], ref[:, still]
         pts = lo[:, None] + (hi - lo)[:, None] * frac
         signs = _sign_pattern(c, d, pts.ravel())

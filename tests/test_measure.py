@@ -5,8 +5,20 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opuckit import make_pair, moments, pair_to_verblunsky, quadrature, step_eval, verblunsky_to_pair
+from opuckit import (
+    ChainSequence,
+    chain,
+    make_pair,
+    maximal_parameters,
+    moments,
+    pair_to_verblunsky,
+    quadrature,
+    step_eval,
+    verblunsky_to_pair,
+)
 from opuckit.errors import InvalidParameters
 from opuckit.measure import _SUM_TOL
 from conftest import cayley_node_bound, random_pair
@@ -232,3 +244,31 @@ def test_quadrature_against_high_precision_oracle():
         bound = (n + 1 + 2.0 / sep) * w * b + 2.0 * np.sqrt(w) * dv + dv * dv
         assert np.all(np.abs(meas.weights - w) <= bound)
     assert checked >= 25
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mass_at_one_is_m0_of_the_prefix_chain(data):
+    # psi_n's weight at z = 1 is 1/sum_{k<=n} |phi_k(1)|^2, which is M_0 of the
+    # backward pass M_{k-1} = 1 - d_k/M_k from M_n = 1 over d_1..d_n, no tail
+    n = data.draw(st.integers(1, 120))
+    c = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    m = data.draw(st.lists(st.floats(0.02, 0.98), min_size=n, max_size=n))
+    pair = make_pair(c, m=[0.0] + m)
+    meas = quadrature(pair, n)
+    prefix = ChainSequence(d=pair.chain.d[:n], m=pair.chain.m[: n + 1])
+    m0 = maximal_parameters(prefix).M[0]
+    # the chain side: the slope times the seed's error plus the pass's
+    # rounding bound; maximal_parameters reads an M_0 within that as 0.0
+    _, slope, noise = chain._backward(prefix.d, 1.0, n)
+    seed_error = 0.0  # M_n = 1 is exact without a tail
+    chain_error = slope * seed_error + noise
+    if m0 == 0.0:
+        chain_error *= 2.0
+    # the weight: the weight_bound form of the Cayley route, with sep the
+    # distance from node 0 to its nearest node
+    b = cayley_node_bound(n)
+    sep = float(np.min(np.minimum(meas.theta[1:], 2.0 * math.pi - meas.theta[1:])))
+    dv = b / sep
+    weight_error = (n + 1 + 2.0 / sep) * m0 * b + 2.0 * math.sqrt(m0) * dv + dv * dv
+    assert abs(meas.weights[0] - m0) <= chain_error + weight_error

@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opuckit import make_pair, r_coeffs, support_gap_check, w_eval, w_zeros, zero_ladder, zeros
+from opuckit import (
+    make_pair,
+    pair_to_verblunsky,
+    r_coeffs,
+    support_gap_check,
+    w_eval,
+    w_zeros,
+    zero_ladder,
+    zeros,
+)
+from opuckit.cmv import cmv_matrix
 from opuckit.errors import GapViolated, HypothesisViolated, InternalInvariant, InvalidParameters
 from conftest import cayley_node_bound, random_pair
 
@@ -75,15 +85,18 @@ def test_ladder_at_depth_200():
 
 def test_interlacing_breach_names_level_and_index(rng, monkeypatch):
     pair = random_pair(rng, 6)
-    real = zeros.para_orthogonal_angles
+    real = zeros.cayley_level
 
-    def shifted(alpha, beta, pole):
-        theta = real(alpha, beta, pole)
-        if len(alpha) == 4:
-            theta[2] = theta[3]  # past the zero of level 3 between them
-        return theta
+    def shifted(u, k, a, tau, pole, vectors=False):
+        h, first = real(u, k, a, tau, pole, vectors)
+        if k == 4:
+            # angles ascend with h cyclically from z = 1, which is h = cot(pole/2),
+            # so theta[2] = theta[3] of the level: past the zero of level 3 between them
+            j = int(np.argmin(np.abs(h - 1.0 / math.tan(0.5 * pole))))
+            h[(j + 3) % 5] = h[(j + 4) % 5]
+        return h, first
 
-    monkeypatch.setattr(zeros, "para_orthogonal_angles", shifted)
+    monkeypatch.setattr(zeros, "cayley_level", shifted)
     with pytest.raises(InternalInvariant, match=r"levels 3 and 4 do not interlace at index \d"):
         zero_ladder(pair, 6)
 
@@ -115,6 +128,25 @@ def test_w_zeros_is_top_of_ladder(rng):
     zs = w_zeros(pair, 40)
     assert zs.n == top.n == 40
     assert np.array_equal(zs.x, top.x) and np.array_equal(zs.theta, top.theta)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_sliced_levels_match_their_own_cmv_matrices(data):
+    # level k the slow way: the eigenvalues of its own (k+1)x(k+1) CMV matrix
+    # closed by conj(tau_k), less the one nearest z = 1, against the ladder's
+    # slices of one matrix; every level of both parities, from n up to 120
+    n = data.draw(st.integers(1, 120))
+    c = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    m = data.draw(st.lists(st.floats(0.02, 0.98), min_size=n, max_size=n))
+    pair = make_pair(c, m=[0.0] + m)
+    vs = pair_to_verblunsky(pair)
+    bound = cayley_node_bound(n)
+    for k, zs in enumerate(zero_ladder(pair, n), start=1):
+        z = np.linalg.eigvals(cmv_matrix(vs.alpha[:k], vs.tau[k].conjugate()))
+        theta = np.sort(np.mod(np.angle(z), 2.0 * math.pi))
+        theta = np.delete(theta, np.argmin(np.minimum(theta, 2.0 * math.pi - theta)))
+        assert np.all(np.abs(np.angle(np.exp(1j * (zs.theta - theta)))) <= bound)
 
 
 def test_support_gap_alternating(rng):
