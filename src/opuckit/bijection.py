@@ -150,13 +150,23 @@ def tau_from_c(c) -> tuple[complex, ...]:
     return tuple(_tau(np.asarray(c, dtype=float)).tolist())
 
 
+def _alpha_tau(c, m) -> tuple[list[complex], list[complex]]:
+    """alpha_0..alpha_{N-1} and tau_0..tau_N for c_1..c_N and m_1..m_N.
+
+    tau_k depends on c_1..c_k alone, and running_product's blocks start at
+    index 0 whatever N is, so a prefix of (c, m) gives a bit-identical prefix
+    of both: callers that need n terms pass c[:n] and m[1:n+1].
+    """
+    c = np.asarray(c, dtype=float)
+    tau = _tau(c)
+    alpha = np.conj(tau[:-1]) * (1.0 - 2.0 * np.asarray(m, dtype=float) - 1j * c) / (1.0 - 1j * c)
+    return alpha.tolist(), tau.tolist()
+
+
 def pair_to_verblunsky(pair: SequencePair) -> VerblunskySequence:
     """Forward direction of the bijection; |alpha_n| < 1 is automatic."""
-    c = np.asarray(pair.c, dtype=float)
-    m = np.asarray(pair.m[1:], dtype=float)
-    tau = _tau(c)
-    alpha = np.conj(tau[:-1]) * (1.0 - 2.0 * m - 1j * c) / (1.0 - 1j * c)
-    return VerblunskySequence(alpha=tuple(alpha.tolist()), tau=tuple(tau.tolist()))
+    alpha, tau = _alpha_tau(pair.c, pair.m[1:])
+    return VerblunskySequence(alpha=tuple(alpha), tau=tuple(tau))
 
 
 def verblunsky_to_pair(alpha) -> SequencePair:

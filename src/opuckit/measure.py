@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bijection import SequencePair, pair_to_verblunsky
+from .bijection import SequencePair, _alpha_tau
 from .cmv import gauss_szego
 from .errors import InternalInvariant, InvalidParameters, NegativeWeight
 from .zeros import _poles
@@ -48,8 +48,8 @@ def quadrature(pair: SequencePair, n: int) -> DiscreteMeasure:
     InternalInvariant for weights that do not sum to 1 within 1e-10."""
     if not 1 <= n <= len(pair):
         raise InvalidParameters(f"need 1 <= n <= {len(pair)}, got {n}")
-    vs = pair_to_verblunsky(pair)
-    theta, lam = gauss_szego(vs.alpha[:n], vs.tau[n].conjugate(), _poles(pair, n)[-1])
+    alpha, tau = _alpha_tau(pair.c[:n], pair.m[1 : n + 1])
+    theta, lam = gauss_szego(alpha, tau[n].conjugate(), _poles(pair, n)[-1])
     bad = np.flatnonzero(~(lam >= 0.0))
     if bad.size:
         raise NegativeWeight(int(bad[0]), float(lam[bad[0]]))
@@ -70,7 +70,7 @@ def step_eval(measure: DiscreteMeasure, theta):
     t = np.asarray(theta, dtype=float)
     scalar = t.shape == ()
     t = np.atleast_1d(t)
-    if np.any((t < 0.0) | (t > 2.0 * math.pi)):
+    if not np.all((t >= 0.0) & (t <= 2.0 * math.pi)):
         raise InvalidParameters("step_eval requires theta in [0, 2 pi]")
     jumps = measure.theta[1:]
     levels = np.concatenate([[measure.weights[0]], measure.weights[0] + np.cumsum(measure.weights[1:])])

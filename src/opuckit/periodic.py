@@ -33,6 +33,12 @@ open panel in one array call and bisects the panels whose error is above an
 equal share of the tolerance.  The reported ac_error sums QUADPACK's error
 estimate of every panel and a rounding estimate of the density, from two
 evaluations of its denominator h (see _gk15).
+
+T_p, Delta and phi_p_on come from one loop, the orthonormal Szego recurrence
+(phi, phi*) -> A(alpha_k, z) (phi, phi*): from the starts (1, 0) and (0, 1)
+it gives the columns of T_p, from (1, 1) it gives (phi_p_on, phi_p_on*).
+Each set of angles takes one pass over the block with all three starts, and
+kappa_p = prod 1/rho_j, which overflows at 229 copies of 0.999, never forms.
 """
 
 from __future__ import annotations
@@ -95,62 +101,75 @@ def _check_alpha(alpha) -> tuple[complex, ...]:
     return alpha
 
 
-def transfer_matrix(a: complex, z) -> np.ndarray:
-    """A(a, z) with the symmetric normalization; det = z exactly."""
-    a = complex(a)
-    s = 1.0 / math.sqrt(1.0 - abs(a) ** 2)
-    z = complex(z)
-    return np.array(
-        [[s * z, -s * a.conjugate()], [-s * a * z, s]], dtype=complex
-    )
+def _angles(theta) -> tuple[np.ndarray, tuple]:
+    """theta flattened to floats, and its shape; InvalidParameters where an
+    angle is not finite."""
+    t = np.asarray(theta, dtype=float)
+    flat = t.ravel()
+    if not np.all(np.isfinite(flat)):
+        j = int(np.argmin(np.isfinite(flat)))
+        raise InvalidParameters(f"theta[{j}] = {float(flat[j])!r} is not finite")
+    return flat, t.shape
 
 
-def _transfer_entries(alpha, z):
-    """Entries (A, B, C, D) of T_p(z), elementwise over an array of z."""
-    A = np.ones_like(z)
-    B = np.zeros_like(z)
-    C = np.zeros_like(z)
-    D = np.ones_like(z)
+def _szego(alpha, z, phi, star):
+    """The orthonormal Szego recurrence
+        phi_{k+1} = (z phi_k - conj(a_k) phi_k*)/rho_k,
+        phi_{k+1}* = (phi_k* - a_k z phi_k)/rho_k,
+    that is A(a_k, z) applied to (phi, phi*), elementwise over z and over
+    start values (phi_0, phi_0*) stacked on a leading axis."""
     for a in alpha:
         s = 1.0 / math.sqrt(1.0 - abs(a) ** 2)
-        ac = a.conjugate()
-        A, B, C, D = (
-            s * (z * A - ac * C),
-            s * (z * B - ac * D),
-            s * (-a * z * A + C),
-            s * (-a * z * B + D),
-        )
-    return A, B, C, D
+        zphi = z * phi
+        phi, star = s * (zphi - a.conjugate() * star), s * (star - a * zphi)
+    return phi, star
 
 
 def transfer_product(alpha, z) -> np.ndarray:
-    """T_p(z) as a 2x2 matrix for scalar z."""
+    """T_p(z) as a 2x2 matrix for scalar z: its columns are _szego from the
+    starts (1, 0) and (0, 1)."""
     alpha = _check_alpha(alpha)
-    zz = np.asarray(complex(z))
-    A, B, C, D = _transfer_entries(alpha, zz)
-    return np.array([[A, B], [C, D]], dtype=complex)
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise InvalidParameters(f"z = {z!r} is not finite")
+    return np.array(_szego(alpha, z, np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+
+
+def transfer_matrix(a: complex, z) -> np.ndarray:
+    """A(a, z) with the symmetric normalization; det = z."""
+    return transfer_product((a,), z)
 
 
 def _floquet_entries(alpha, t: np.ndarray):
-    """Delta and the entries of E = e^{-i p t/2} T_p(e^{i t}), det E = 1, over
-    a 1-d array of angles.
+    """Delta, the entries E11, E12, E21, E22 of E = e^{-i p t/2} T_p(e^{i t})
+    (det E = 1) and h = Im(e^{-i p t/2} phi_p(e^{i t})), whose circle zeros
+    are those of pi = phi_p* - phi_p, over a 1-d array of angles, from one
+    _szego pass over the starts (1, 0), (0, 1) and (1, 1).
 
     Delta = Tr E must be real to the rounding bound of the transfer product,
     16 p eps prod_j (1 + |alpha_j|)/rho_j (each factor is the infinity norm of
-    A(alpha_j, z)); NonRealDiscriminant otherwise.
+    A(alpha_j, z)), carried as a sum of logs since it overflows at large p,
+    as the product itself does in a gap.  NonRealDiscriminant names the
+    first angle where Delta is not finite or not real to that bound.
     """
     p = len(alpha)
-    A, B, C, D = _transfer_entries(alpha, np.exp(1j * t))
-    phase = np.exp(-0.5j * p * t)
-    val = phase * (A + D)
-    norm = math.prod((1.0 + abs(a)) / math.sqrt(1.0 - abs(a) ** 2) for a in alpha)
-    bound = 16.0 * p * _EPS * norm
-    defect = float(np.max(np.abs(val.imag)))
-    if not defect <= bound:
-        raise NonRealDiscriminant(
-            f"discriminant imaginary defect {defect!r} exceeds {bound!r}"
+    log_bound = math.log(16.0 * p * _EPS) + sum(
+        math.log((1.0 + abs(a)) / math.sqrt(1.0 - abs(a) ** 2)) for a in alpha
+    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi, star = _szego(
+            alpha, np.exp(1j * t), np.array([[1.0], [0.0], [1.0]]), np.array([[0.0], [1.0], [1.0]])
         )
-    return val.real, phase * A, phase * B, phase * C, phase * D
+        phase = np.exp(-0.5j * p * t)
+        val = phase * (phi[0] + star[1])
+        real = np.isfinite(val.real) & (np.log(np.abs(val.imag)) <= log_bound)
+    if not real.all():
+        j = int(np.argmin(real))
+        raise NonRealDiscriminant(
+            f"discriminant {complex(val[j])!r} at theta = {float(t[j])!r} is not real within"
+            f" the transfer product's rounding bound exp({log_bound!r})"
+        )
+    return (val.real, *(phase * phi[:2]), *(phase * star[:2]), (phase * phi[2]).imag)
 
 
 def _four_minus_delta_sq(delta, E11, E12, E21, E22):
@@ -172,13 +191,12 @@ def discriminant(alpha, theta):
 
     theta is taken literally in [0, 2 pi] (not reduced), which fixes the branch
     for odd p.  The imaginary part must vanish to the rounding bound of the
-    transfer product, 16 p eps prod_j (1 + |alpha_j|)/rho_j (each factor is the
-    infinity norm of A(alpha_j, z)); NonRealDiscriminant otherwise.
+    transfer product (see _floquet_entries); NonRealDiscriminant otherwise.
     """
     alpha = _check_alpha(alpha)
-    t = np.asarray(theta, dtype=float)
-    delta = _floquet_entries(alpha, np.atleast_1d(t))[0]
-    return float(delta[0]) if t.shape == () else delta
+    t, shape = _angles(theta)
+    delta = _floquet_entries(alpha, t)[0].reshape(shape)
+    return float(delta) if shape == () else delta
 
 
 # ------------------ bands and gaps ------------------ #
@@ -285,28 +303,6 @@ def band_structure(alpha) -> PeriodicSpectrum:
 
 
 # ------------------ point-mass candidates ------------------ #
-
-
-def _h_values(alpha, theta):
-    """Im(e^{-i p theta/2} phi_p(e^{i theta})) with orthonormal phi_p; its
-    circle zeros are exactly the zeros of pi(z) = phi_p* - phi_p.
-
-    The orthonormal Szego recurrence
-        phi_{k+1} = (z phi_k - conj(a_k) phi_k*)/rho_k,
-        phi_{k+1}* = (phi_k* - a_k z phi_k)/rho_k
-    keeps phi O(1) on the bands.  The monic phi_p times kappa_p = prod 1/rho_j
-    does not: kappa_p passes the largest float at 229 copies of 0.999.
-    """
-    p = len(alpha)
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    z = np.exp(1j * t)
-    phi = np.ones_like(z)
-    star = np.ones_like(z)
-    for a in alpha:
-        s = 1.0 / math.sqrt(1.0 - abs(a) ** 2)
-        zphi = z * phi
-        phi, star = s * (zphi - a.conjugate() * star), s * (star - a * zphi)
-    return (np.exp(-0.5j * p * t) * phi).imag
 
 
 def _candidates(alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -427,13 +423,11 @@ def mass_series(alpha, w: complex, n_terms: int) -> float:
 
 
 def ac_weight(alpha, theta):
-    """The density w(theta) inside a band; OffBand where |Delta| >= 2 - 1e-10."""
+    """The density w(theta) inside a band; OffBand where |Delta| >= 2 - 1e-10,
+    DenominatorVanished where h = 0 leaves it not finite."""
     alpha = _check_alpha(alpha)
-    t = np.asarray(theta, dtype=float)
-    scalar = t.shape == ()
-    t = np.atleast_1d(t)
-    parts = _floquet_entries(alpha, t)
-    delta = parts[0]
+    t, shape = _angles(theta)
+    delta, *entries, h = _floquet_entries(alpha, t)
     inside = np.abs(delta) < 2.0 - _EDGE_TOL
     if not np.all(inside):
         bad = int(np.argmin(inside))
@@ -441,11 +435,11 @@ def ac_weight(alpha, theta):
             f"theta = {float(t[bad])!r} has |Delta| = {float(abs(delta[bad]))!r}"
             f" >= 2 - {_EDGE_TOL!r}"
         )
-    h = _h_values(alpha, t)
-    if np.any(np.abs(h) < 1e-300):
+    with np.errstate(divide="ignore"):
+        out = np.sqrt(_four_minus_delta_sq(delta, *entries)) / (2.0 * np.abs(h))
+    if not np.all(np.isfinite(out)):
         raise DenominatorVanished("orthonormal phi_p is real at a band-interior point")
-    out = np.sqrt(_four_minus_delta_sq(*parts)) / (2.0 * np.abs(h))
-    return float(out[0]) if scalar else out
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 # G7-K15 (Piessens et al., QUADPACK, 1983, qk15): the 15 Kronrod abscissae on
@@ -523,12 +517,12 @@ def _gk15(alpha, edge, sign, lo, hi, on_edge):
     """G7-K15 over each panel [lo, hi] of u: the integral, the rule's error
     estimate, the rounding estimate, and whether rounding limits the panel.
 
-    The integrand is 2 u w(edge + sign u^2), with h from _h_values; it is 0
-    where rounding makes 4 - Delta^2 negative at an edge or h vanish, the
-    limit there.  h is also the imaginary part of E11 + E12 (the transfer
-    product applied to (1, 1) gives the orthonormal phi_p); the
-    Kronrod sum of |f| times the relative difference of the two is the
-    rounding estimate, which is what limits the density next to a zero of h.
+    The integrand is 2 u w(edge + sign u^2), from one _floquet_entries pass;
+    it is 0 where rounding makes 4 - Delta^2 negative at an edge or h vanish,
+    the limit there.  h, from the start (1, 1), is also the imaginary part of
+    E11 + E12, from the column starts, rounded differently; the Kronrod sum
+    of |f| times the relative difference of the two is the rounding
+    estimate, which is what limits the density next to a zero of h.
 
     The rule's error is QUADPACK's resasc min(1, (200 |K - G| / resasc)^1.5),
     at least 50 eps resabs.  That scaling assumes a smooth integrand, so it
@@ -540,9 +534,8 @@ def _gk15(alpha, edge, sign, lo, hi, on_edge):
     half = 0.5 * (hi - lo)
     u = mid[:, None] + half[:, None] * _GK_NODES
     t = (edge[:, None] + sign[:, None] * u * u).ravel()
-    parts = _floquet_entries(alpha, t)
-    q = _four_minus_delta_sq(*parts)
-    h = _h_values(alpha, t)
+    delta, *entries, h = _floquet_entries(alpha, t)
+    q = _four_minus_delta_sq(delta, *entries)
     size = np.abs(h)
     root = np.sqrt(np.maximum(q, 0.0))
     w = np.divide(root, 2.0 * size, out=np.zeros_like(size), where=size != 0.0)
@@ -550,7 +543,7 @@ def _gk15(alpha, edge, sign, lo, hi, on_edge):
     if not np.all(np.isfinite(f)):
         bad = int(np.argmin(np.isfinite(f).ravel()))
         raise InternalInvariant(f"band density is {f.ravel()[bad]!r} at theta = {t[bad]!r}")
-    other = (parts[1] + parts[2]).imag
+    other = (entries[0] + entries[1]).imag
     rel = np.divide(np.abs(h - other), size, out=np.zeros_like(size), where=size != 0.0)
     rounding = (np.abs(f) * rel.reshape(u.shape)) @ _GK_KRONROD * half
     kronrod = f @ _GK_KRONROD

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import period_two, periodic
 from .bijection import make_pair, pair_to_verblunsky, verblunsky_to_pair
-from .chain import minimal_parameters
+from .chain import ChainSequence, _backward, _fixed_point, maximal_parameters, minimal_parameters
 from .errors import InternalInvariant
 from .measure import moments, quadrature, step_eval
 from .polynomials import r_coeffs, self_inversive_defect
@@ -186,6 +186,31 @@ def check_periodic_support_gap() -> str:
     return f"min |cos(theta/2)| - g = {dist:.3e}"
 
 
+def check_periodic_mass_at_one() -> str:
+    """The mass at z = 1 of a periodic alternating block is M_0, the maximal
+    parameter of its chain sequence with that periodic tail (six periods
+    stored), to the chain side's error (the slope of the backward pass times
+    its fixed point's error, plus the pass's rounding) plus 16 p eps for the
+    eigenvector mass."""
+    rng = np.random.default_rng(19)
+    p = 6
+    c = np.repeat(rng.uniform(0.2, 1.5, p // 2), 2) * np.tile([-1.0, 1.0], p // 2)
+    m = np.concatenate([[0.0], rng.uniform(0.1, 0.9, p)])
+    spec = periodic.full_spectrum(pair_to_verblunsky(make_pair(c, m=m)).alpha)
+    near = 64.0 * p * _EPS
+    mass = sum(pp.mass for pp in spec.pure_points if abs(pp.w - 1.0) <= near)
+    tail = ChainSequence.from_minimal(np.concatenate([m, np.tile(m[1:], 5)]), tail_period=p)
+    m0 = maximal_parameters(tail).M[0]
+    d, n = tail.d, len(tail.d)
+    seed, seed_error = _fixed_point(d[n - p :], n)
+    _, slope, noise = _backward(d, seed, n)
+    bound = slope * seed_error + noise + 16.0 * p * _EPS
+    defect = abs(mass - m0)
+    _require(mass > 0.0, "no mass at z = 1")
+    _require(defect <= bound, f"mass {mass!r} at z = 1 is {defect!r} off M_0 = {m0!r} > {bound!r}")
+    return f"mass {mass:.15f}, defect {defect:.1e} <= {bound:.1e}"
+
+
 def check_unfolding() -> str:
     rng = np.random.default_rng(15)
     n = 12
@@ -236,6 +261,7 @@ _CHECKS = [
     ("period_two_masses", check_period_two_masses),
     ("period_two_normalization", check_period_two_normalization),
     ("periodic_support_gap", check_periodic_support_gap),
+    ("periodic_mass_at_one", check_periodic_mass_at_one),
     ("unfolding_consistency", check_unfolding),
     ("conjugate_zero_symmetry", check_conjugate_symmetry),
     ("periodicity_report", check_periodicity_report),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bijection import SequencePair, pair_to_verblunsky
+from .bijection import SequencePair, _alpha_tau
 from .cmv import cayley_angles, cayley_level, cmv_matrix, nearest_one
 from .errors import GapViolated, HypothesisViolated, InternalInvariant, InvalidParameters
 
@@ -89,12 +89,12 @@ def _levels(pair: SequencePair, n: int, first: int) -> tuple[np.ndarray, np.ndar
     run once over all levels.
     """
     _check_depth(pair, n)
-    vs = pair_to_verblunsky(pair)
-    u = cmv_matrix(vs.alpha[:n], vs.tau[n].conjugate())
+    alpha, tau = _alpha_tau(pair.c[:n], pair.m[1 : n + 1])
+    u = cmv_matrix(alpha, tau[n].conjugate())
     poles = _poles(pair, n)[first - 1 :]
     levels = np.arange(first, n + 1)
     h = [
-        cayley_level(u, k, vs.alpha[k - 1], vs.tau[k], pole)[0]
+        cayley_level(u, k, alpha[k - 1], tau[k], pole)[0]
         for k, pole in zip(levels.tolist(), poles.tolist())
     ]
     size = levels + 1

@@ -350,6 +350,13 @@ def test_exit_2_off_band(capsys):
     assert error_type(err) == "OffBand"
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "1.0,nan"])
+def test_exit_2_non_finite_theta(capsys, theta):
+    code, out, err = run(capsys, ["weight", "--theta", theta, "--input", '{"alpha": [[0.5, 0]]}'])
+    assert code == 2 and out == ""
+    assert error_type(err) == "InvalidParameters"
+
+
 def test_exit_2_bad_n(capsys):
     code, _, err = run(capsys, ["zeros", "--n", "7", "--input", PAIR_TWO])
     assert code == 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from opuckit import (
     ChainSequence,
+    bijection,
     chain,
     make_pair,
     maximal_parameters,
@@ -18,7 +19,10 @@ from opuckit import (
     quadrature,
     step_eval,
     verblunsky_to_pair,
+    w_zeros,
+    zero_ladder,
 )
+from opuckit import measure, zeros
 from opuckit.errors import InvalidParameters
 from opuckit.measure import _SUM_TOL
 from conftest import cayley_node_bound, random_pair
@@ -103,6 +107,9 @@ def test_step_eval_vector_and_domain():
         step_eval(meas, -0.1)
     with pytest.raises(InvalidParameters):
         step_eval(meas, 2.0 * math.pi + 0.1)
+    for bad in (math.nan, [0.5, math.nan]):
+        with pytest.raises(InvalidParameters):
+            step_eval(meas, bad)
 
 
 def test_step_eval_monotone_random(rng):
@@ -272,3 +279,36 @@ def test_mass_at_one_is_m0_of_the_prefix_chain(data):
     dv = b / sep
     weight_error = (n + 1 + 2.0 / sep) * m0 * b + 2.0 * math.sqrt(m0) * dv + dv * dv
     assert abs(meas.weights[0] - m0) <= chain_error + weight_error
+
+
+def test_ladders_and_quadrature_convert_only_n_terms(rng, monkeypatch):
+    # zero_ladder, w_zeros and quadrature read alpha_0..alpha_{n-1} and
+    # tau_0..tau_n alone: they convert the n-term prefix of a long pair, and
+    # agree bit for bit with the same calls on the prefix pair (n passes one
+    # renormalization block of tau)
+    n = 70
+    pair = random_pair(rng, 3000)
+    prefix = make_pair(pair.c[:n], m=pair.m[: n + 1])
+    convert = bijection._alpha_tau
+    lengths = []
+
+    def counting(c, m):
+        lengths.append(len(c))
+        return convert(c, m)
+
+    monkeypatch.setattr(zeros, "_alpha_tau", counting)
+    monkeypatch.setattr(measure, "_alpha_tau", counting)
+
+    def results(p):
+        ladder = zero_ladder(p, n)
+        top = w_zeros(p, n)
+        meas = quadrature(p, n)
+        return repr((
+            [(z.x.tolist(), z.theta.tolist()) for z in ladder],
+            (top.x.tolist(), top.theta.tolist()),
+            (meas.theta.tolist(), meas.nodes.tolist(), meas.weights.tolist()),
+        ))
+
+    long, short = results(pair), results(prefix)
+    assert lengths == [n] * 6
+    assert long == short

@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opuckit import (
+    ChainSequence,
     ac_weight,
     band_structure,
     discriminant,
     full_spectrum,
     is_periodic_pair,
     mass_series,
+    maximal_parameters,
     normalization_report,
     parallel_lines_check,
     pure_point_mass,
@@ -23,8 +25,9 @@ from opuckit import (
     transfer_product,
     verblunsky_to_pair,
 )
-from opuckit import periodic
+from opuckit import chain, periodic
 from opuckit.errors import (
+    DenominatorVanished,
     HypothesisViolated,
     InternalInvariant,
     InvalidParameters,
@@ -115,10 +118,29 @@ def test_discriminant_validation():
 
 
 def test_discriminant_overflow_is_numerics_error():
-    # 1200 steps in a gap overflow the transfer product; the NaN trace must
-    # fail the realness check, not pass as a value with |Delta| >= 2
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonRealDiscriminant):
+    # 1200 steps in a gap overflow the transfer product, and its rounding
+    # bound with it; the NaN trace must fail the realness check, not pass as
+    # a value with |Delta| >= 2, and numpy must not warn
+    with pytest.raises(NonRealDiscriminant, match=r"at theta = 1\.0 .* bound exp\(\d"):
         discriminant((0.97,) * 1200, 1.0)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+@pytest.mark.parametrize("fn", [discriminant, ac_weight])
+def test_non_finite_theta_is_invalid(fn, theta):
+    with pytest.raises(InvalidParameters, match="not finite"):
+        fn((0.5, 0.2), theta)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.inf), math.nan])
+def test_transfer_product_rejects_non_finite_z(z):
+    with pytest.raises(InvalidParameters, match="not finite"):
+        transfer_product((0.3, -0.2 + 0.4j), z)
+
+
+def test_transfer_matrix_rejects_modulus_one_or_more():
+    with pytest.raises(InvalidParameters, match="modulus < 1"):
+        transfer_matrix(1.5, 1.0)
 
 
 def test_band_structure_free_case():
@@ -323,6 +345,38 @@ def test_masses_against_mpmath(p, seed):
         assert abs(masses.get(got, 0.0) - want) <= 16 * p * EPS
 
 
+def mass_at_one(spectrum):
+    """full_spectrum's mass at z = 1, to the eigensolver's 64 p eps, or 0.0
+    when there is none."""
+    near = 64 * spectrum.p * EPS
+    return sum(pp.mass for pp in spectrum.pure_points if abs(pp.w - 1.0) <= near)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mass_at_one_is_m0_of_the_periodic_chain(data):
+    # the mass at z = 1 of the periodic alternating block is M_0 of its chain
+    # sequence with that periodic tail; a backward pass over d and the
+    # eigenvectors of a CMV matrix share no code
+    half = data.draw(st.integers(1, 4))
+    tilde = data.draw(st.lists(st.floats(0.0, 1.5), min_size=half, max_size=half))
+    m = data.draw(st.lists(st.floats(0.05, 0.95), min_size=2 * half, max_size=2 * half))
+    p = 2 * half
+    spectrum = full_spectrum(alternating_block(tilde, m))
+    tail = ChainSequence.from_minimal([0.0] + m * 6, tail_period=p)
+    m0 = maximal_parameters(tail).M[0]
+    # the chain side: the slope times the fixed point's error plus the pass's
+    # rounding bound, doubled where maximal_parameters reads M_0 as 0.0; the
+    # eigenvector side: 16 p eps for the one mass
+    d, n = tail.d, len(tail.d)
+    seed, seed_error = chain._fixed_point(d[n - p :], n)
+    _, slope, noise = chain._backward(d, seed, n)
+    chain_error = slope * seed_error + noise
+    if m0 == 0.0:
+        chain_error *= 2.0
+    assert abs(mass_at_one(spectrum) - m0) <= chain_error + 16 * p * EPS
+
+
 def min_cos_half(spectrum):
     """The smallest |cos(theta/2)| over the bands and pure points: at a band
     edge, at theta = pi where a band contains it, or at a point."""
@@ -447,12 +501,33 @@ def test_candidate_check_names_index_and_value(monkeypatch):
 
 
 def test_band_integrals_raise_on_nan_density(monkeypatch):
-    def nan_h(alpha, theta):
-        return np.full(np.size(theta), np.nan)
+    # phi_p of the start (1, 1), whose imaginary part is h, turns NaN; the
+    # column starts, and so Delta, stay as they are
+    szego = periodic._szego
 
-    monkeypatch.setattr(periodic, "_h_values", nan_h)
+    def nan_h(alpha, z, phi, star):
+        phi, star = szego(alpha, z, phi, star)
+        if len(phi) == 3:
+            phi = phi.copy()
+            phi[2] = np.nan
+        return phi, star
+
+    monkeypatch.setattr(periodic, "_szego", nan_h)
     with pytest.raises(InternalInvariant, match="band density"):
         normalization_report((0.5,))
+
+
+def test_ac_weight_raises_where_h_vanishes(monkeypatch):
+    # h = 0 at a band-interior point makes the density infinite
+    entries = periodic._floquet_entries
+
+    def zero_h(alpha, t):
+        *parts, h = entries(alpha, t)
+        return (*parts, np.zeros_like(h))
+
+    monkeypatch.setattr(periodic, "_floquet_entries", zero_h)
+    with pytest.raises(DenominatorVanished, match="orthonormal phi_p is real"):
+        ac_weight((0.5,), math.pi)
 
 
 def test_band_integrals_cap_panels(monkeypatch):
