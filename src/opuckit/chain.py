@@ -3,10 +3,15 @@
 A prefix (d_1, ..., d_N) of positives is a positive chain sequence prefix when
 it can be written d_n = (1 - g_{n-1}) g_n with g_0 in [0, 1) and g_n in (0, 1).
 The minimal parameters take g_0 = 0 and are produced by forward iteration; the
-maximal parameters are the pointwise largest admissible g and are recovered by
-one backward pass seeded at 1 or, with a periodic tail, at the fixed point of
-one period.  M_0 equals the jump the associated measure places at z = 1, so
-"M_0 = 0" certifies no mass there.
+maximal parameters are the pointwise largest admissible g.  They are recovered
+by one backward pass over e_k = M_k - m_k >= 0, whose recurrence
+e_{k-1} = (1 - m_{k-1}) e_k/(m_k + e_k) has only positive terms, seeded at
+e_N = 1 - m_N or, with a periodic tail, at the fixed point of one period less
+m_N.  A tail whose fixed point lies below m_N by more than its error is no
+chain sequence.  M_0 equals the jump the associated measure places at z = 1,
+and MaximalParameters.error bounds its error.  Without a tail that bound is
+relative, a few roundings per step, and M_0 > 0 unless e underflows, so
+is_determinate is False there.
 """
 
 from __future__ import annotations
@@ -137,23 +142,25 @@ class MaximalParameters:
     """Maximal parameters M[n] at indices n = 0..N.
 
     tail_depth is p, the one period of the tail whose fixed point seeds M_N,
-    or 0 without a tail (M_N = 1).
+    or 0 without a tail (M_N = 1).  error is a first-order bound on
+    |M_0 - exact M_0| for the chain whose minimal parameters are m.
     """
 
     M: tuple[float, ...]
     tail_depth: int
+    error: float
 
 
-def _backward(d, M: float, top: int) -> tuple[list[float], float, float]:
-    """Iterates M_top, M_{top-1}, ..., M_{top-len(d)} of M_{k-1} = 1 - d_k/M_k
-    from M_top = M, where d = (d_{top-len(d)+1}, ..., d_top).
+def _backward(d, M: float, top: int) -> tuple[float, float, float]:
+    """M_{top-len(d)} of M_{k-1} = 1 - d_k/M_k from M_top = M, where
+    d = (d_{top-len(d)+1}, ..., d_top).
 
     Also returns the slope dM_{top-len(d)}/dM_top = prod d_k/M_k^2 and a
     first-order bound on the rounding of the last iterate (each step rounds
-    twice; later steps scale an error by d_k/M_k^2).  A non-positive M_k,
-    k >= 1, raises InvalidParameters: no chain sequence has it.
+    twice; later steps scale an error by d_k/M_k^2).  A non-positive M_k
+    raises InvalidParameters: no chain sequence has it.
     """
-    out, slope, noise = [M], 1.0, 0.0
+    slope, noise = 1.0, 0.0
     for k, dk in zip(range(top, 0, -1), reversed(d)):
         if not M > 0.0:
             raise InvalidParameters(
@@ -165,8 +172,7 @@ def _backward(d, M: float, top: int) -> tuple[list[float], float, float]:
         M = 1.0 - q
         slope *= ratio
         noise = noise * ratio + _EPS * (q + abs(M))
-        out.append(M)
-    return out, slope, noise
+    return M, slope, noise
 
 
 def _fixed_point(d, top: int) -> tuple[float, float]:
@@ -185,8 +191,8 @@ def _fixed_point(d, top: int) -> tuple[float, float]:
     """
     M, found = 1.0, None
     while True:
-        orbit, slope, noise = _backward(d, M, top)
-        g = orbit[-1] - M
+        last, slope, noise = _backward(d, M, top)
+        g = last - M
         if g >= -2.0 * noise:
             found = M, 6.0 * noise / max(abs(1.0 - slope), _EPS) + _EPS * M
         if g >= 0.0 or slope >= 1.0:
@@ -205,31 +211,53 @@ def _fixed_point(d, top: int) -> tuple[float, float]:
 
 
 def maximal_parameters(chain: ChainSequence) -> MaximalParameters:
-    """One backward pass over the stored prefix from M_N = 1 or, with a tail
-    of period p, from the largest fixed point of the map over its last p d,
-    the limit of backward iteration seeded at 1 ever further out.  Its error is a
-    few roundings of that period over 1 - P'(M_N), and about sqrt(eps) where
-    the two fixed points merge (d_n -> 1/4).  An M_0 (the mass at z = 1)
-    within that error times dM_0/dM_N plus the pass's rounding of 0 is
-    returned as 0.0; further below 0, InvalidParameters."""
-    d, N, p = chain.d, len(chain.d), chain.tail_period
-    start, error = (1.0, 0.0) if p is None else _fixed_point(d[N - p :], N)
-    M, slope, noise = _backward(d, start, N)
-    bound = slope * error + noise
-    if not M[-1] >= -bound:
-        raise InvalidParameters(
-            f"M_0 = {M[-1]!r} is below 0 by more than its error bound {bound!r}: "
-            "d with its periodic tail is not a chain sequence"
-        )
-    if M[-1] <= bound:
-        M[-1] = 0.0
-    return MaximalParameters(M=tuple(reversed(M)), tail_depth=p or 0)
+    """M_k = m_k + e_k, where e_k = M_k - m_k >= 0 (maximal parameters
+    dominate every parameter sequence) obeys the positive recurrence
+    e_{k-1} = (1 - m_{k-1}) e_k/(m_k + e_k) of M_{k-1} = 1 - d_k/M_k, run
+    once backward over the stored m: nothing cancels.
+
+    Without a tail e_N = 1 - m_N.  With a tail of period p, M_N is the
+    largest fixed point of the backward map over the last p d, the limit of
+    backward iteration seeded at 1 ever further out, with error err (a few
+    roundings of that period over 1 - P'(M_N), about sqrt(eps) where the two
+    fixed points merge as d_n -> 1/4).  An M_N below m_N by more than err
+    raises InvalidParameters; one within err of m_N gives e_N = 0, so M = m
+    and M_0 = 0.0.  The ends of e_N's bracket [e_N - err, e_N + err], cut at
+    0, pass through the same increasing map; error is their larger distance
+    from M_0 plus (4N + 1) eps M_0, since each step rounds at most 4 times
+    relative and e_k's relative sensitivity m_k/(m_k + e_k) is at most 1.
+    """
+    d, m, N, p = chain.d, chain.m, len(chain.d), chain.tail_period
+    if p is None:
+        e, err = 1.0 - m[N], 0.0
+    else:
+        M_N, err = _fixed_point(d[N - p :], N)
+        e = M_N - m[N]
+        if e < -err:
+            raise InvalidParameters(
+                f"M_{N} = {M_N!r} is below m_{N} = {m[N]!r} by more than its "
+                f"error bound {err!r}: d with its periodic tail is not a chain sequence"
+            )
+        if abs(e) <= err:
+            e = 0.0
+    lo, hi = max(e - err, 0.0), e + err
+    M = [m[N] + e]
+    for mk, prev in zip(reversed(m[1:]), reversed(m[:-1])):
+        f = 1.0 - prev
+        e = f * e / (mk + e)
+        lo = f * lo / (mk + lo)
+        hi = f * hi / (mk + hi)
+        M.append(prev + e)
+    M.reverse()
+    error = max(abs(M[0] - lo), abs(hi - M[0])) + (4 * N + 1) * _EPS * M[0]
+    return MaximalParameters(M=tuple(M), tail_depth=p or 0, error=error)
 
 
 def is_determinate(chain: ChainSequence, maximal: MaximalParameters) -> bool:
     """True when the maximal parameters are the minimal ones: by Wall's
     parametrisation of the parameter sequences by g_0 in [0, M_0] (Chihara,
     An Introduction to Orthogonal Polynomials (1978), ch. III), exactly when
-    M_0 = 0, which maximal_parameters returns for an M_0 within its error
-    bound of 0."""
+    M_0 = 0.  maximal_parameters returns that for a tail whose fixed point
+    lies within its error of m_N; without a tail M_0 > 0 unless e underflows.
+    """
     return maximal.M[0] == 0.0

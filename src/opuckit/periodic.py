@@ -181,9 +181,15 @@ def _four_minus_delta_sq(delta, E11, E12, E21, E22):
     one that cancels.  Their rounding errors are in the ratio of
     0.5 |E11 - E22| + |E12| + |E21| to 1, which picks the form.
     """
-    off = 0.5 * np.abs(E11 - E22) + np.abs(E12) + np.abs(E21)
-    entry_form = -((E11 - E22) ** 2 + 4.0 * E12 * E21).real
-    return np.where(off < 1.0, entry_form, 4.0 - delta * delta)
+    # At large p the entries reach 1e180 deep in a gap: the entry form's
+    # products overflow and may sum to inf - inf = nan, but off >= 1 there,
+    # so it is not picked; Delta^2 overflows too, and 4 - Delta^2 = -inf is
+    # the right limit, since such a point is off every band, where the
+    # density is 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = 0.5 * np.abs(E11 - E22) + np.abs(E12) + np.abs(E21)
+        entry_form = -((E11 - E22) ** 2 + 4.0 * E12 * E21).real
+        return np.where(off < 1.0, entry_form, 4.0 - delta * delta)
 
 
 def discriminant(alpha, theta):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import period_two, periodic
 from .bijection import make_pair, pair_to_verblunsky, verblunsky_to_pair
-from .chain import ChainSequence, _backward, _fixed_point, maximal_parameters, minimal_parameters
+from .chain import ChainSequence, maximal_parameters, minimal_parameters
 from .errors import InternalInvariant
 from .measure import moments, quadrature, step_eval
 from .polynomials import r_coeffs, self_inversive_defect
@@ -189,8 +189,7 @@ def check_periodic_support_gap() -> str:
 def check_periodic_mass_at_one() -> str:
     """The mass at z = 1 of a periodic alternating block is M_0, the maximal
     parameter of its chain sequence with that periodic tail (six periods
-    stored), to the chain side's error (the slope of the backward pass times
-    its fixed point's error, plus the pass's rounding) plus 16 p eps for the
+    stored), to the chain side's error bound plus 16 p eps for the
     eigenvector mass."""
     rng = np.random.default_rng(19)
     p = 6
@@ -200,11 +199,9 @@ def check_periodic_mass_at_one() -> str:
     near = 64.0 * p * _EPS
     mass = sum(pp.mass for pp in spec.pure_points if abs(pp.w - 1.0) <= near)
     tail = ChainSequence.from_minimal(np.concatenate([m, np.tile(m[1:], 5)]), tail_period=p)
-    m0 = maximal_parameters(tail).M[0]
-    d, n = tail.d, len(tail.d)
-    seed, seed_error = _fixed_point(d[n - p :], n)
-    _, slope, noise = _backward(d, seed, n)
-    bound = slope * seed_error + noise + 16.0 * p * _EPS
+    maximal = maximal_parameters(tail)
+    m0 = maximal.M[0]
+    bound = maximal.error + 16.0 * p * _EPS
     defect = abs(mass - m0)
     _require(mass > 0.0, "no mass at z = 1")
     _require(defect <= bound, f"mass {mass!r} at z = 1 is {defect!r} off M_0 = {m0!r} > {bound!r}")

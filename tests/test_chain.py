@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -142,6 +143,41 @@ def test_maximal_parameters_finite_prefix():
     assert abs(res.M[0] - 1.0 / 3.0) < 1e-15
 
 
+def test_maximal_parameters_without_tail_at_n_1000():
+    # draws 4 and 8 are float chains whose backward pass M_{k-1} = 1 - d_k/M_k
+    # goes negative (at k = 410 and 558) by cancellation; the exact value runs
+    # that pass in rationals over d_k = (1 - m_{k-1}) m_k, a formula the
+    # e-form does not use
+    rng = np.random.default_rng(7)
+    n = 1000
+    for _ in range(10):
+        chain = ChainSequence.from_minimal(np.concatenate([[0.0], rng.uniform(0.02, 0.98, n)]))
+        res = maximal_parameters(chain)
+        m = [Fraction(x) for x in chain.m]
+        exact = Fraction(1)
+        for k in range(n, 0, -1):
+            exact = 1 - (1 - m[k - 1]) * m[k] / exact
+        assert abs(Fraction(res.M[0]) - exact) <= Fraction(res.error)
+        assert res.error <= (4 * n + 1) * EPS * res.M[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=300))
+def test_maximal_parameters_without_tail_property(ms):
+    # e_k = M_k - m_k stays >= 0 term by term, so no tail-less chain is
+    # rejected and M_0 > 0, unless e falls below the normal range: log e_k,
+    # run in logs where e_k itself underflows, says when
+    chain = ChainSequence.from_minimal([0.0] + ms)
+    res = maximal_parameters(chain)
+    m = chain.m
+    assert res.M[-1] == 1.0
+    assert all(M >= mk for M, mk in zip(res.M, m))
+    log_e = math.log1p(-m[-1])
+    for k in range(len(ms), 0, -1):
+        log_e += math.log1p(-m[k - 1]) - math.log(m[k] + math.exp(log_e))
+    assert res.M[0] > 0.0 or (res.M[0] == 0.0 and log_e < math.log(sys.float_info.min))
+
+
 def test_maximal_parameters_constant_below_quarter():
     # for constant d the maximal parameter solves M = 1 - d/M; with d = 0.2
     # the attracting root of the backward map is (1 + sqrt(1 - 0.8))/2
@@ -183,14 +219,14 @@ def test_maximal_parameters_tail_not_a_chain_sequence(d, message):
 
 def test_maximal_parameters_below_zero_mass():
     # d = (0.6, 1/4, 1/4, ...) has M_1 = 1/2 and M_0 = 1 - 0.6/0.5 = -0.2 < 0:
-    # no chain sequence; d = (1/2, 1/4, ...) has M_0 = 0, which the seed's
-    # error of about sqrt(eps) at the double root 1/2 turns into -6e-9
-    with pytest.raises(InvalidParameters, match=r"M_0 = -0\.2\d* is below 0"):
+    # no chain sequence, seen where the tail starts as M_2 = 1/2 < m_2 = 0.625;
+    # d = (1/2, 1/4, ...) has M_0 = 0, M_2 = m_2 = 1/2 to the seed's error of
+    # about sqrt(eps) at the double root 1/2
+    with pytest.raises(InvalidParameters, match=r"M_2 = 0\.\d+ is below m_2 = 0\.625 "):
         maximal_parameters(ChainSequence.from_d((0.6, 0.25), tail_period=1))
     assert maximal_parameters(ChainSequence.from_d((0.5, 0.25), tail_period=1)).M[0] == 0.0
-    # determinate tails have M_0 = 0, and the pass's rounding moves it to
-    # either side (from -6e-13 to 1.2e-12 on these 400 chains): they read
-    # M_0 = 0.0, and the others M_0 > 0, so is_determinate's M_0 == 0.0
+    # determinate tails have M_N = m_N to the seed's error: they read e_N = 0,
+    # so M = m and M_0 = 0.0, and the others M_0 > 0, so is_determinate's M_0 == 0.0
     # agrees with the rule it replaced, all of M within 1e-8 of m
     for chain in random_tail_chains() + bench_style_chains():
         res = maximal_parameters(chain)
@@ -204,7 +240,7 @@ def test_is_determinate_comparator():
     res = maximal_parameters(chain)
     # minimal parameters head for the other fixed point, so these differ
     assert not is_determinate(chain, res)
-    fake = MaximalParameters(M=chain.m, tail_depth=0)
+    fake = MaximalParameters(M=chain.m, tail_depth=0, error=0.0)
     assert is_determinate(chain, fake)
 
 

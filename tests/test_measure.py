@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from opuckit import (
     ChainSequence,
     bijection,
-    chain,
     make_pair,
     maximal_parameters,
     moments,
@@ -264,21 +263,16 @@ def test_mass_at_one_is_m0_of_the_prefix_chain(data):
     pair = make_pair(c, m=[0.0] + m)
     meas = quadrature(pair, n)
     prefix = ChainSequence(d=pair.chain.d[:n], m=pair.chain.m[: n + 1])
-    m0 = maximal_parameters(prefix).M[0]
-    # the chain side: the slope times the seed's error plus the pass's
-    # rounding bound; maximal_parameters reads an M_0 within that as 0.0
-    _, slope, noise = chain._backward(prefix.d, 1.0, n)
-    seed_error = 0.0  # M_n = 1 is exact without a tail
-    chain_error = slope * seed_error + noise
-    if m0 == 0.0:
-        chain_error *= 2.0
+    maximal = maximal_parameters(prefix)
+    m0 = maximal.M[0]
     # the weight: the weight_bound form of the Cayley route, with sep the
     # distance from node 0 to its nearest node
     b = cayley_node_bound(n)
     sep = float(np.min(np.minimum(meas.theta[1:], 2.0 * math.pi - meas.theta[1:])))
     dv = b / sep
     weight_error = (n + 1 + 2.0 / sep) * m0 * b + 2.0 * math.sqrt(m0) * dv + dv * dv
-    assert abs(meas.weights[0] - m0) <= chain_error + weight_error
+    # the chain side: maximal.error, without a tail a bound relative to M_0
+    assert abs(meas.weights[0] - m0) <= maximal.error + weight_error
 
 
 def test_ladders_and_quadrature_convert_only_n_terms(rng, monkeypatch):
