@@ -169,13 +169,20 @@ def pair_to_verblunsky(pair: SequencePair) -> VerblunskySequence:
     return VerblunskySequence(alpha=tuple(alpha), tau=tuple(tau))
 
 
-def verblunsky_to_pair(alpha) -> SequencePair:
-    """Backward direction; recovers (c, m) and rebuilds d from m."""
+def _alpha_in_disc(alpha) -> np.ndarray:
+    """alpha as a flat complex array; InvalidParameters unless every
+    |alpha_k| < 1 (NaN included)."""
     a = np.asarray(alpha, dtype=complex).reshape(-1)
     inside = np.abs(a) < 1.0
     if not inside.all():
         k = int(np.argmin(inside))
         raise InvalidParameters(f"alpha[{k}] = {complex(a[k])!r} must have modulus < 1")
+    return a
+
+
+def verblunsky_to_pair(alpha) -> SequencePair:
+    """Backward direction; recovers (c, m) and rebuilds d from m."""
+    a = _alpha_in_disc(alpha)
     u = []  # u_n = tau_{n-1} alpha_{n-1}
     t = 1.0 + 0.0j
     for n, an in enumerate(a.tolist(), start=1):

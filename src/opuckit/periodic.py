@@ -406,6 +406,8 @@ def mass_series(alpha, w: complex, n_terms: int) -> float:
     """
     alpha = _check_alpha(alpha)
     w = complex(w)
+    if not cmath.isfinite(w):
+        raise InvalidParameters(f"w = {w!r} is not finite")
     p = len(alpha)
     t = 1.0 + 0.0j
     lam = 0.0
@@ -567,14 +569,11 @@ def _ac_integral(alpha, spectrum: PeriodicSpectrum) -> tuple[float, float]:
     """Integral of w over all bands and its error estimate, by one adaptive
     G7-K15 rule over the panels of every half-band at once.
 
-    Each round bisects the panels whose rule error exceeds an equal share of
-    the tolerance, until the summed rule error is below it.  Rounding-limited
-    panels are not bisected: those whose |K - G| is within their rounding
-    estimate, and those whose halves agree with them to 1e-5 but do not
-    lower the error (QUADPACK's roundoff test), which are kept, with the
-    change as a lower bound on their error, while their halves (with nodes
-    nearer the trouble) are dropped.  The loop also ends when no panel may be
-    split, and raises NoConvergence beyond _PANELS_PER_HALF_BAND panels per
+    Each round replaces every panel whose rule error exceeds an equal share
+    of the tolerance by its two halves, until the summed rule error is below
+    it.  Only the panels _gk15 marks noisy, whose |K - G| is within their
+    rounding estimate, are never split.  The loop also ends when no panel may
+    be split, and raises NoConvergence beyond _PANELS_PER_HALF_BAND panels per
     half-band.  The returned error is the rule's plus the rounding estimate,
     summed over the panels.
     """
@@ -599,23 +598,12 @@ def _ac_integral(alpha, spectrum: PeriodicSpectrum) -> tuple[float, float]:
             np.concatenate([mid, hi[split]]),
             np.concatenate([on_edge[split], np.zeros(n_split, dtype=bool)]),
         )
-        h_val, h_err, h_rounding, h_limited = _gk15(alpha, *halves)
-        pair_val = h_val[:n_split] + h_val[n_split:]
-        change = np.abs(pair_val - val[split])
-        stuck = (change <= 1e-5 * np.abs(pair_val)) & (
-            h_err[:n_split] + h_err[n_split:] >= 0.99 * err[split]
-        )
-        idx = np.flatnonzero(split)[stuck]
-        err[idx] = np.maximum(err[idx], change[stuck])
-        limited[idx] = True
         keep = ~split
-        keep[idx] = True
-        new = np.tile(~stuck, 2)
         edge, sign, lo, hi, on_edge, val, err, rounding, limited = (
-            np.concatenate([mine[keep], theirs[new]])
+            np.concatenate([mine[keep], theirs])
             for mine, theirs in zip(
                 (edge, sign, lo, hi, on_edge, val, err, rounding, limited),
-                halves + (h_val, h_err, h_rounding, h_limited),
+                halves + _gk15(alpha, *halves),
             )
         )
     return float(np.sum(val)), float(np.sum(err) + np.sum(rounding))
@@ -687,32 +675,22 @@ def is_periodic_pair(pair: SequencePair, p: int) -> PeriodicityReport:
     N = len(pair)
     if not 1 <= p <= N - 1:
         raise InvalidParameters(f"need 1 <= p <= {N - 1} to check at least one index")
-    b = pair.b
-    c = pair.c
-    arg_res = 0.0
-    mod_res = 0.0
-    checked = 0
-    for n in range(N - p):
-        k1, k2 = n + 1, n + p + 1
-        if k2 > N:
-            break
-        lhs = sum(
-            cmath.phase((1.0 + 1j * c[j - 1]) / (1.0 - 1j * c[j - 1]))
-            for j in range(n + 1, n + p + 1)
-        )
-        z1 = (b[k1 - 1] - 1j * c[k1 - 1]) / (1.0 - 1j * c[k1 - 1])
-        z2 = (b[k2 - 1] - 1j * c[k2 - 1]) / (1.0 - 1j * c[k2 - 1])
-        mod_res = max(mod_res, abs(abs(z1) ** 2 - abs(z2) ** 2))
-        if abs(z1) < 1e-14 and abs(z2) < 1e-14:
-            pass  # phase unconstrained at alpha = 0
-        else:
-            diff = lhs - (cmath.phase(z1) - cmath.phase(z2))
-            arg_res = max(arg_res, abs(cmath.phase(cmath.exp(1j * diff))))
-        checked += 1
+    c = np.asarray(pair.c, dtype=float)
+    phase = np.angle((1.0 + 1j * c) / (1.0 - 1j * c))
+    # window n sums phase[n..n+p-1]; a cumsum difference would lose about
+    # N pi eps against the 1e-10 threshold on long pairs
+    lhs = np.lib.stride_tricks.sliding_window_view(phase, p)[: N - p].sum(axis=1)
+    z = (np.asarray(pair.b) - 1j * c) / (1.0 - 1j * c)
+    z1, z2 = z[: N - p], z[p:]
+    mod_res = float(np.max(np.abs(np.abs(z1) ** 2 - np.abs(z2) ** 2)))
+    diff = np.angle(np.exp(1j * (lhs - (np.angle(z1) - np.angle(z2)))))
+    # the phase is unconstrained where alpha = 0 at both ends
+    free = (np.abs(z1) < 1e-14) & (np.abs(z2) < 1e-14)
+    arg_res = float(np.max(np.abs(diff[~free]), initial=0.0))
     return PeriodicityReport(
         ok=(arg_res < _PERIODIC_TOL and mod_res < _PERIODIC_TOL),
         p=p,
-        checked=checked,
+        checked=N - p,
         arg_residual=arg_res,
         modulus_residual=mod_res,
     )

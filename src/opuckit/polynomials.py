@@ -207,7 +207,7 @@ def w_eval_scaled(pair: SequencePair, n: int, x) -> tuple[np.ndarray, int]:
     x = np.asarray(x, dtype=float)
     shape = x.shape
     x = np.atleast_1d(x)
-    if np.any(np.abs(x) > 1.0):
+    if not np.all(np.abs(x) <= 1.0):
         raise InvalidParameters("w_eval requires x in [-1, 1]")
     s = np.sqrt((1.0 - x) * (1.0 + x))
     w0 = np.ones_like(x)

@@ -151,18 +151,26 @@ def check_period_two_masses() -> str:
 
 
 def check_period_two_normalization() -> str:
-    params = period_two.PeriodTwoParams(c=1.0, b1=0.3, b2=0.5)
-    alpha = period_two.family_alpha(params)
-    spec = periodic.full_spectrum(alpha)
-    rep = periodic.normalization_report(alpha, spec)
-    defect = abs(rep["total"] - 1.0)
-    # the band integrals' estimate plus 16 p eps per point mass: a mass is a
-    # difference of two squared entries of a unit eigenvector, whose error is
-    # the eigen-residual (below p eps in practice) over the distance to the
-    # next candidate
-    bound = rep["ac_error"] + 16 * len(alpha) * _EPS * len(spec.pure_points)
-    _require(defect <= bound, f"normalization defect {defect!r} exceeds {bound!r}")
-    return f"total {rep['total']:.15f}, defect {defect:.1e} <= {bound:.1e}"
+    """Band integrals plus point masses sum to 1, within ac_error, on an
+    open-gap block and on one whose gap at z = -1 is a sliver 4e-9 wide with
+    a candidate on its edge."""
+    details = []
+    for c, b1, b2 in ((1.0, 0.3, 0.5), (1e-9, 0.3, 0.3)):
+        alpha = period_two.family_alpha(period_two.PeriodTwoParams(c=c, b1=b1, b2=b2))
+        spec = periodic.full_spectrum(alpha)
+        rep = periodic.normalization_report(alpha, spec)
+        defect = abs(rep["total"] - 1.0)
+        # the band integrals' estimate plus 16 p eps per point mass: a mass is
+        # a difference of two squared entries of a unit eigenvector, whose
+        # error is the eigen-residual (below p eps in practice) over the
+        # distance to the next candidate
+        bound = rep["ac_error"] + 16 * len(alpha) * _EPS * len(spec.pure_points)
+        _require(
+            defect <= bound,
+            f"normalization defect {defect!r} exceeds {bound!r} at (c, b1, b2) = {(c, b1, b2)}",
+        )
+        details.append(f"c = {c:g}: total {rep['total']:.15f}, defect {defect:.1e} <= {bound:.1e}")
+    return "; ".join(details)
 
 
 def check_periodic_support_gap() -> str:

@@ -18,6 +18,7 @@ import numpy as np
 from .bijection import (
     SequencePair,
     VerblunskySequence,
+    _alpha_in_disc,
     make_pair,
     pair_to_verblunsky,
     running_product,
@@ -35,13 +36,14 @@ def conjugate_pair(pair: SequencePair) -> SequencePair:
 
 
 def rotate_alpha(alpha, beta: complex) -> tuple[complex, ...]:
-    """alpha_n -> beta^{n+1} alpha_n for |beta| = 1 (measure rotated by beta)."""
+    """alpha_n -> beta^{n+1} alpha_n for |beta| = 1 (measure rotated by beta)
+    and every |alpha_n| < 1."""
     beta = complex(beta)
-    if abs(abs(beta) - 1.0) > 1e-12:
+    if not abs(abs(beta) - 1.0) <= 1e-12:
         raise InvalidParameters(f"beta = {beta!r} must be unimodular")
     if isinstance(alpha, VerblunskySequence):
         alpha = alpha.alpha
-    a = np.asarray(alpha, dtype=complex).reshape(-1)
+    a = _alpha_in_disc(alpha)
     return tuple((running_product(np.full(a.size, beta))[1:] * a).tolist())
 
 

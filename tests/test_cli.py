@@ -387,6 +387,21 @@ ALPHA_THREE = '{"alpha": [[0.3, 0.1], [-0.2, 0.4], [0.5, -0.1]]}'
             ["transform", "--op", "unfold", "--input", '{"c": [-1, 1, 1], "m": [0.35, 0.25, 0.3]}'],
             "HypothesisViolated",
         ),
+        (
+            [
+                "transform", "--op", "rotate", "--beta=-0.6,0.8",
+                "--input", '{"alpha": [[1.5, 0.1], [0.2, 0.4]]}',
+            ],
+            "InvalidParameters",
+        ),
+        (
+            ["transform", "--op", "rotate", "--beta=-0.6,0.8", "--input", '{"alpha": [[NaN, 0]]}'],
+            "InvalidParameters",
+        ),
+        (
+            ["transform", "--op", "rotate", "--beta=nan,0", "--input", ALPHA_THREE],
+            "InvalidParameters",
+        ),
     ],
 )
 def test_exit_2_option_checks(capsys, argv, kind):

@@ -118,6 +118,13 @@ def test_w_eval_domain_check():
         w_eval(pair, 1, 1.5)
 
 
+@pytest.mark.parametrize("x", [math.nan, [0.5, math.nan]])
+def test_w_eval_rejects_nan(x):
+    pair = make_pair([0.0], d=[0.5])
+    with pytest.raises(InvalidParameters):
+        w_eval(pair, 1, x)
+
+
 def test_w_eval_scaled_shared_exponent():
     # 500 levels of growth ~2.2 per step push past the rescale threshold, so
     # the mantissa must stay moderate while the exponent absorbs the size

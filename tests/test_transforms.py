@@ -1,5 +1,7 @@
 """Measure symmetries: conjugation, rotation, and couple unfolding."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,19 @@ def test_rotate_alpha_powers():
 def test_rotate_alpha_validation():
     with pytest.raises(InvalidParameters):
         rotate_alpha([0.5], 0.5)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, message",
+    [
+        ([0.5], complex(math.nan, 0.0), "unimodular"),
+        ([1.5 + 0.1j, 0.2 + 0.4j], -0.6 + 0.8j, r"alpha\[0\] .* modulus < 1"),
+        ([0.5, complex(math.nan, 0.0)], 1j, r"alpha\[1\] .* modulus < 1"),
+    ],
+)
+def test_rotate_alpha_rejects_nan_and_outside_disc(alpha, beta, message):
+    with pytest.raises(InvalidParameters, match=message):
+        rotate_alpha(alpha, beta)
 
 
 def test_rotate_accepts_sequence_object(rng):
