@@ -17,11 +17,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, period_two, periodic, selfcheck
+# the modules behind one or a few commands are bound as modules and their
+# functions looked up at call time, so a command runs only the modules it uses
+from . import (
+    __version__,
+    measure,
+    period_two,
+    periodic,
+    polynomials,
+    selfcheck,
+    transforms,
+    zeros,
+)
 from .bijection import make_pair, pair_to_verblunsky, verblunsky_to_pair
 from .errors import InputError, InvalidParameters, OpucError
-from .measure import moments, quadrature, step_eval
-from .polynomials import q_coeffs, r_coeffs
 from .serialize import (
     complex_pairs,
     dumps,
@@ -29,8 +38,6 @@ from .serialize import (
     read_input_document,
     write_csv,
 )
-from .transforms import conjugate_pair, rotate_alpha, unfold_alternating
-from .zeros import zero_ladder
 
 TWO_PI = 2.0 * math.pi
 
@@ -108,7 +115,7 @@ def cmd_alpha2pair(args):
 def cmd_zeros(args):
     pair = _load_pair(args)
     n = _resolve_n(args, pair)
-    ladder = zero_ladder(pair, n)
+    ladder = zeros.zero_ladder(pair, n)
     final = ladder[-1]
     rows = [
         (zs.n, j, x, th)
@@ -122,7 +129,7 @@ def cmd_zeros(args):
 def cmd_quadrature(args):
     pair = _load_pair(args)
     n = _resolve_n(args, pair)
-    meas = quadrature(pair, n)
+    meas = measure.quadrature(pair, n)
     payload = {
         "n": n,
         "theta": list(meas.theta),
@@ -132,7 +139,7 @@ def cmd_quadrature(args):
     if args.moments is not None:
         if args.moments < 0:
             raise InvalidParameters("--moments must be >= 0")
-        payload["moments"] = complex_pairs(moments(meas, args.moments))
+        payload["moments"] = complex_pairs(measure.moments(meas, args.moments))
     rows = [(j, th, wt) for j, (th, wt) in enumerate(zip(meas.theta, meas.weights), start=1)]
     return payload, {"quadrature.csv": ("j,theta,weight", rows)}
 
@@ -142,9 +149,9 @@ def cmd_cdf(args):
     n = _resolve_n(args, pair)
     if args.grid < 2:
         raise InvalidParameters("--grid must be >= 2")
-    meas = quadrature(pair, n)
+    meas = measure.quadrature(pair, n)
     theta = np.linspace(0.0, TWO_PI, args.grid + 1)
-    psi = step_eval(meas, theta)
+    psi = measure.step_eval(meas, theta)
     payload = {
         "n": n,
         "theta": [float(t) for t in theta],
@@ -158,8 +165,8 @@ def cmd_poly(args):
     n = _resolve_n(args, pair)
     levels = {"R": [[[1.0, 0.0]]], "Q": [[]]}  # level 0: R_0 = 1, Q_0 = 0
     for k in range(1, n + 1):
-        levels["R"].append(complex_pairs(r_coeffs(pair, k).coeffs))
-        levels["Q"].append(complex_pairs(q_coeffs(pair, k).coeffs))
+        levels["R"].append(complex_pairs(polynomials.r_coeffs(pair, k).coeffs))
+        levels["Q"].append(complex_pairs(polynomials.q_coeffs(pair, k).coeffs))
     tables = {
         f"poly_{name.lower()}.csv": (
             "n,k,re,im",
@@ -228,7 +235,7 @@ def cmd_weight(args):
 
 def cmd_transform(args):
     if args.op == "conjugate":
-        out = conjugate_pair(_load_pair(args))
+        out = transforms.conjugate_pair(_load_pair(args))
         payload = {
             "op": "conjugate",
             "c": list(out.c),
@@ -246,14 +253,14 @@ def cmd_transform(args):
             beta = complex(float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise InvalidParameters(f"--beta must be two reals: {exc}")
-        rotated = rotate_alpha(_load_alpha(args), beta)
+        rotated = transforms.rotate_alpha(_load_alpha(args), beta)
         payload = {
             "op": "rotate",
             "beta": [beta.real, beta.imag],
             "alpha": complex_pairs(rotated),
         }
         return payload, {}
-    data = unfold_alternating(_load_pair(args))
+    data = transforms.unfold_alternating(_load_pair(args))
     payload = {
         "op": "unfold",
         "beta": complex_pairs(data.beta),

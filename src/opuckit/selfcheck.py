@@ -1,13 +1,15 @@
 """Deterministic invariant battery behind the `check` subcommand.
 
 Every check is self-contained with fixed inputs (seeded RNG where random data
-is wanted), so two runs produce identical reports.  A check fails by raising;
-the runner converts that into ok = False with the exception text.
+is wanted), so two runs produce identical reports but for each check's wall
+time.  A check fails by raising; the runner converts that into ok = False with
+the exception text.
 """
 
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -274,14 +276,15 @@ _CHECKS = [
 
 
 def run_checks() -> list[dict]:
-    """Run the battery; one {name, ok, detail} record per check."""
+    """Run the battery; one {name, ok, detail, seconds} record per check,
+    seconds being the check's wall time by time.perf_counter."""
     report = []
     for name, fn in _CHECKS:
+        start = time.perf_counter()
         try:
-            detail = fn()
-            report.append({"name": name, "ok": True, "detail": detail})
+            entry = {"name": name, "ok": True, "detail": fn()}
         except Exception as exc:  # noqa: BLE001 - report, do not crash
-            report.append(
-                {"name": name, "ok": False, "detail": f"{type(exc).__name__}: {exc}"}
-            )
+            entry = {"name": name, "ok": False, "detail": f"{type(exc).__name__}: {exc}"}
+        entry["seconds"] = time.perf_counter() - start
+        report.append(entry)
     return report

@@ -16,6 +16,7 @@ from opuckit import band_structure, make_pair, pair_to_verblunsky, selfcheck
 from opuckit.cli import main
 
 PAIR_TWO = '{"c": [0, 0], "d": [0.5, 0.25]}'
+PAIR_FOUR = '{"c": [1, -1, 1, -1], "m": [0.5, 0.5, 0.5, 0.5]}'
 EPS = sys.float_info.epsilon
 
 
@@ -29,6 +30,16 @@ def run_json(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def _python(*args):
+    """A fresh interpreter on this checkout's package: (exit code, stdout, stderr)."""
+    src = str(Path(opuckit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    return out.returncode, out.stdout, out.stderr
 
 
 def test_version_flag(capsys):
@@ -447,6 +458,8 @@ def test_check_command(capsys):
     assert doc["ok"] is True
     assert len(doc["checks"]) >= 10
     assert all(entry["ok"] for entry in doc["checks"])
+    seconds = [entry["seconds"] for entry in doc["checks"]]
+    assert all(math.isfinite(s) and s >= 0.0 for s in seconds), seconds
 
 
 def test_check_exit_3_on_a_failed_entry(capsys, monkeypatch):
@@ -459,7 +472,9 @@ def test_check_exit_3_on_a_failed_entry(capsys, monkeypatch):
 
 
 def test_exit_3_on_a_nonfinite_csv_cell(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr("opuckit.cli.step_eval", lambda meas, theta: np.full(theta.size, np.nan))
+    monkeypatch.setattr(
+        "opuckit.measure.step_eval", lambda meas, theta: np.full(theta.size, np.nan)
+    )
     code, out, err = run(
         capsys,
         ["cdf", "--grid", "4", "--input", PAIR_TWO, "--format", "csv", "--outdir", str(tmp_path)],
@@ -482,13 +497,52 @@ def test_import_leaves_scipy_solvers_unloaded():
         "from opuckit.selfcheck import run_checks; assert all(r['ok'] for r in run_checks()); "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    src = str(Path(opuckit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    code, out, err = _python("-c", probe)
+    assert code == 0, err
+    assert out.strip() == "[]"
+
+
+# after `import opuckit` no submodule body has run (a module whose body has
+# run is a plain module; reading .__class__ would run it), and pair2alpha runs
+# (its input in argv[1]) none of the modules it does not use
+LAZY_PROBE = """
+import contextlib, io, pkgutil, sys, types
+import opuckit
+
+def unrun(names):
+    return [n for n in names if type(sys.modules["opuckit." + n]) is not types.ModuleType]
+
+assert "numpy" not in sys.modules, "numpy"
+subs = sorted(m.name for m in pkgutil.iter_modules(opuckit.__path__) if m.name != "cli")
+assert len(subs) >= 12 and unrun(subs) == subs, subs
+assert "opuckit.cli" not in sys.modules
+from opuckit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["pair2alpha", "--input", sys.argv[1]]) == 0
+heavy = ["measure", "period_two", "periodic", "polynomials", "selfcheck", "transforms", "zeros"]
+assert unrun(heavy) == heavy, unrun(heavy)
+star = {}
+exec("from opuckit import *", star)
+for name in opuckit.__all__:
+    assert star[name] is getattr(opuckit, name) is not None, name
+"""
+
+
+def test_import_runs_no_submodule_until_used():
+    code, _, err = _python("-W", "error", "-c", LAZY_PROBE, PAIR_FOUR)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["demo"], ["pair2alpha", "--input", PAIR_FOUR]],
+)
+def test_run_as_module_with_warnings_as_errors(argv):
+    # `python -m opuckit.cli` warns, fatally under -W error, if opuckit.cli is
+    # in sys.modules before it runs
+    code, out, err = _python("-W", "error", "-m", "opuckit.cli", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["meta"]["command"] == argv[0]
 
 
 @pytest.mark.parametrize("command", ["quadrature", "pair2alpha"])
