@@ -147,7 +147,7 @@ def _tau(c: np.ndarray) -> np.ndarray:
 
 def tau_from_c(c) -> tuple[complex, ...]:
     """tau_0 = 1, tau_n = tau_{n-1} (1 - i c_n)/(1 + i c_n); all unimodular."""
-    return tuple(_tau(np.asarray(c, dtype=float)).tolist())
+    return tuple(_tau(_check_finite(c, "c")).tolist())
 
 
 def _alpha_tau(c, m) -> tuple[list[complex], list[complex]]:

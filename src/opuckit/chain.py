@@ -35,14 +35,16 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def _check_finite(values, name: str) -> np.ndarray:
-    """values as a float array; InvalidParameters naming the first
-    non-finite entry (NaN included)."""
-    a = np.asarray(values, dtype=float)
-    finite = np.isfinite(a)
+def _check_finite(values, name: str, dtype=float) -> np.ndarray:
+    """values as an array of dtype; InvalidParameters naming the first
+    non-finite entry (NaN included), by its flat index unless values is a
+    scalar."""
+    a = np.asarray(values, dtype=dtype)
+    finite = np.isfinite(a).ravel()
     if not finite.all():
         k = int(np.argmin(finite))
-        raise InvalidParameters(f"{name}[{k}] = {float(a[k])!r} is not finite")
+        entry = f"{name}[{k}]" if a.ndim else name
+        raise InvalidParameters(f"{entry} = {a.ravel()[k].item()!r} is not finite")
     return a
 
 

@@ -61,6 +61,8 @@ def quadrature(pair: SequencePair, n: int) -> DiscreteMeasure:
 
 def moments(measure: DiscreteMeasure, k_max: int) -> np.ndarray:
     """mu_k = integral of conj(z)^k = sum_j lambda_j e^{-i k theta_j}, k = 0..k_max."""
+    if not (isinstance(k_max, (int, np.integer)) and k_max >= 0):
+        raise InvalidParameters(f"k_max = {k_max!r} must be an integer >= 0")
     k = np.arange(k_max + 1)
     return np.exp(-1j * np.outer(k, measure.theta)) @ measure.weights
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bijection import SequencePair, make_pair
+from .chain import _check_finite
 from .errors import InvalidParameters
 
 __all__ = [
@@ -88,7 +89,7 @@ def family_pair(params: PeriodTwoParams, length: int) -> SequencePair:
 def family_discriminant(params: PeriodTwoParams, theta):
     """Delta(theta) = 2[(1 + c^2) cos(theta) + b1 b2 - c^2] / sqrt((1-b1^2)(1-b2^2))."""
     c, b1, b2 = params.c, params.b1, params.b2
-    t = np.asarray(theta, dtype=float)
+    t = _check_finite(theta, "theta")
     scalar = t.shape == ()
     out = 2.0 * ((1.0 + c * c) * np.cos(t) + b1 * b2 - c * c) / math.sqrt(
         params.disc_scale
@@ -114,9 +115,10 @@ def family_band_edges(params: PeriodTwoParams) -> tuple[float, float, float, flo
 
 
 def family_weight(params: PeriodTwoParams, theta):
-    """Band-interior density; nan outside the bands (argument of a negative sqrt)."""
+    """Band-interior density; nan outside the bands (argument of a negative
+    sqrt), InvalidParameters at a non-finite theta."""
     c, b1, b2 = params.c, params.b1, params.b2
-    t = np.asarray(theta, dtype=float)
+    t = _check_finite(theta, "theta")
     scalar = t.shape == ()
     x = (1.0 + c * c) * np.cos(t) + b1 * b2 - c * c
     den = np.abs((1.0 + b2) * (np.sin(t) + c * (1.0 - np.cos(t))))

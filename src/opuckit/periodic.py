@@ -15,15 +15,17 @@ matrices E(+1) and E(-1) (see cmv), and a touching point is a double
 eigenvalue.  Point masses can only sit at the p zeros of
 pi(z) = phi_p*(z) - phi_p(z), which are the eigenvalues of a p x p CMV
 matrix; the same eigendecomposition gives each candidate's mass from two
-entries of its eigenvector (see _candidates), and mass_series sums the
-defining series along the tau recursion as a second, independent route.  On
+entries of its eigenvector, and its Davis-Kahan error (see _candidates);
+mass_series sums the defining series along the tau recursion as a second,
+independent route.  On
 band interiors the absolutely continuous weight is
 
     w(theta) = sqrt(4 - Delta^2) / (2 |Im(e^{-i p theta/2} phi_p_on(e^{i theta}))|)
 
 with phi_p_on the orthonormal polynomial (Simon, OPUC vol. 2 chapter 11),
 normalized so that the band integrals of w/(2 pi) plus the point masses sum
-to one.  normalization_report checks that sum.  Its band integrals run one
+to one.  normalization_report checks that sum, to the band integrals'
+error estimate plus the summed mass errors.  Its band integrals run one
 adaptive G7-K15 Gauss-Kronrod rule (Piessens et al., QUADPACK, 1983) over the
 panels of all 2p half-bands at once, in u with theta = edge +- u^2 so that the
 square-root behaviour at each edge becomes smooth; a half-band whose edge has
@@ -43,13 +45,13 @@ kappa_p = prod 1/rho_j, which overflows at 229 copies of 0.999, never forms.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bijection import RENORM_EVERY, SequencePair
+from .chain import _check_finite
 from .cmv import cmv_matrix, floquet_matrix
 from .errors import (
     DenominatorVanished,
@@ -104,12 +106,8 @@ def _check_alpha(alpha) -> tuple[complex, ...]:
 def _angles(theta) -> tuple[np.ndarray, tuple]:
     """theta flattened to floats, and its shape; InvalidParameters where an
     angle is not finite."""
-    t = np.asarray(theta, dtype=float)
-    flat = t.ravel()
-    if not np.all(np.isfinite(flat)):
-        j = int(np.argmin(np.isfinite(flat)))
-        raise InvalidParameters(f"theta[{j}] = {float(flat[j])!r} is not finite")
-    return flat, t.shape
+    t = _check_finite(theta, "theta")
+    return t.ravel(), t.shape
 
 
 def _szego(alpha, z, phi, star):
@@ -129,9 +127,7 @@ def transfer_product(alpha, z) -> np.ndarray:
     """T_p(z) as a 2x2 matrix for scalar z: its columns are _szego from the
     starts (1, 0) and (0, 1)."""
     alpha = _check_alpha(alpha)
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise InvalidParameters(f"z = {z!r} is not finite")
+    z = complex(_check_finite(z, "z", complex))
     return np.array(_szego(alpha, z, np.array([1.0, 0.0]), np.array([0.0, 1.0])))
 
 
@@ -228,6 +224,7 @@ class PurePoint:
     w: complex
     theta: float
     mass: float
+    error: float  # first-order bound on |mass - exact mass| (see _candidates)
 
 
 @dataclass(frozen=True)
@@ -240,6 +237,7 @@ class PeriodicSpectrum:
     candidates: tuple[complex, ...] = ()
     candidate_thetas: tuple[float, ...] = ()
     pure_points: tuple[PurePoint, ...] = ()
+    point_error: float = 0.0  # the mass errors summed over all candidates
 
 
 def _edges(alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -311,9 +309,10 @@ def band_structure(alpha) -> PeriodicSpectrum:
 # ------------------ point-mass candidates ------------------ #
 
 
-def _candidates(alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Angles of the p candidates, ascending in [0, 2 pi], and their masses (0
-    where there is none), from one eigendecomposition.
+def _candidates(alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angles of the p candidates, ascending in [0, 2 pi], their masses (0
+    where there is none) and what each mass may be off by, from one
+    eigendecomposition.
 
     pi = -(1 + alpha_{p-1}) (z phi_{p-1} - conj(beta) phi_{p-1}*) with
     beta = (1 + alpha_{p-1})/(1 + conj(alpha_{p-1})), so the candidates z_j
@@ -331,12 +330,24 @@ def _candidates(alpha) -> tuple[np.ndarray, np.ndarray]:
     z_j tau_{p-1} = conj(beta), so q_{p-1} = rho_{p-1}^2 / |1 + alpha_{p-1}|^2
     and P = |phi_{p-1}(z_j)|^2 q_{p-1}, which gives, for every p,
 
-        mass_j = |V[0, j]|^2 - |V[p-1, j]|^2 (1 - |alpha_{p-1}|^2) / |1 + alpha_{p-1}|^2.
+        mass_j = |V[0, j]|^2 - k |V[p-1, j]|^2,   k = (1 - |alpha_{p-1}|^2) / |1 + alpha_{p-1}|^2.
 
     A mass exists when it exceeds 16 p eps, the rounding of the eigenvector
     weights.  The output is checked instead of the input: every eigenpair must
     have residual |C v - z v| and ||z| - 1| within the eigensolver's backward
     error 64 p eps (C is unitary), InternalInvariant otherwise.
+
+    The error of mass_j, to first order: with r_j the residual plus 16 eps
+    (the rounding of C and of C v) and sep_j the distance to the nearest
+    other candidate, the sine of the angle between v and the exact
+    eigenvector u is at most r_j/(sep_j - r_j), and 1 (Davis and Kahan, SIAM
+    J. Numer. Anal. 7 (1970); C is normal).  |v_i|^2 - |u_i|^2 is a diagonal
+    entry of v v* - u u*, whose norm is that sine, so the constant is 1:
+
+        error_j = (1 + k) (min(1, r_j/(sep_j - r_j)) + 16 p eps),
+
+    the last term the rounding of the weights, which also covers a raw mass
+    clipped to 0.  For p = 1 only that term is left.
     """
     p = len(alpha)
     a = alpha[-1]
@@ -352,11 +363,22 @@ def _candidates(alpha) -> tuple[np.ndarray, np.ndarray]:
                 f"candidate {j} (z = {complex(z[j])!r}) has {name} {float(values[j])!r}"
                 f" above {bound!r}"
             )
-    mass = np.abs(v[0]) ** 2 - np.abs(v[-1]) ** 2 * ((1.0 - abs(a) ** 2) / abs(1.0 + a) ** 2)
+    k = (1.0 - abs(a) ** 2) / abs(1.0 + a) ** 2
+    mass = np.abs(v[0]) ** 2 - np.abs(v[-1]) ** 2 * k
     mass = np.where(mass > 16.0 * p * _EPS, mass, 0.0)
     theta = np.mod(np.angle(z), TWO_PI)
     order = np.argsort(theta)
-    return theta[order], mass[order]
+    tilt = np.zeros(p)
+    if p > 1:
+        # the sorted candidates closed into a ring; sep is the smaller of the
+        # distances to the previous and the next
+        ring = z[np.concatenate((order[-1:], order, order[:1]))]
+        step = np.abs(ring[1:] - ring[:-1])
+        sep = np.minimum(step[:-1], step[1:])
+        r = residual[order] + 16.0 * _EPS
+        # r/(sep - r) where sep >= 2 r, else 1
+        tilt = r / np.maximum(sep - r, r)
+    return theta[order], mass[order], (1.0 + k) * (tilt + 16.0 * p * _EPS)
 
 
 def gap_candidates(alpha):
@@ -377,7 +399,7 @@ def pure_point_mass(alpha, w: complex) -> float | None:
     mass is the one full_spectrum reports there (see _candidates).
     """
     alpha = _check_alpha(alpha)
-    thetas, masses = _candidates(alpha)
+    thetas, masses, _ = _candidates(alpha)
     dist = np.abs(np.exp(1j * thetas) - complex(w))
     j = int(np.argmin(dist))
     bound = 64.0 * len(alpha) * _EPS
@@ -405,9 +427,9 @@ def mass_series(alpha, w: complex, n_terms: int) -> float:
     divergent series runs into with a huge partial sum (result near 0).
     """
     alpha = _check_alpha(alpha)
-    w = complex(w)
-    if not cmath.isfinite(w):
-        raise InvalidParameters(f"w = {w!r} is not finite")
+    w = complex(_check_finite(w, "w", complex))
+    if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
+        raise InvalidParameters(f"n_terms = {n_terms!r} must be an integer >= 1")
     p = len(alpha)
     t = 1.0 + 0.0j
     lam = 0.0
@@ -610,40 +632,37 @@ def _ac_integral(alpha, spectrum: PeriodicSpectrum) -> tuple[float, float]:
 
 
 def full_spectrum(alpha) -> PeriodicSpectrum:
-    """Bands, gaps, candidates and confirmed pure points in one report."""
+    """Bands, gaps, candidates and confirmed pure points in one report; each
+    point carries its mass's error bound, and point_error sums the bound over
+    all p candidates, since mixed eigenvectors move mass onto clipped ones."""
     alpha = _check_alpha(alpha)
-    spec = band_structure(alpha)
-    thetas, masses = _candidates(alpha)
+    thetas, masses, errors = _candidates(alpha)
     zs = np.exp(1j * thetas).tolist()
-    thetas = thetas.tolist()
-    return PeriodicSpectrum(
-        p=spec.p,
-        plus_solutions=spec.plus_solutions,
-        minus_solutions=spec.minus_solutions,
-        bands=spec.bands,
-        gaps=spec.gaps,
+    thetas, errors = thetas.tolist(), errors.tolist()
+    points = zip(zs, thetas, masses.tolist(), errors)
+    return replace(
+        band_structure(alpha),
         candidates=tuple(zs),
         candidate_thetas=tuple(thetas),
-        pure_points=tuple(
-            PurePoint(w=z, theta=th, mass=float(m))
-            for z, th, m in zip(zs, thetas, masses)
-            if m > 0.0
-        ),
+        pure_points=tuple(PurePoint(z, t, m, e) for z, t, m, e in points if m > 0.0),
+        point_error=sum(errors),
     )
 
 
 def normalization_report(alpha, spectrum: PeriodicSpectrum | None = None) -> dict:
     """Band integrals of w/(2 pi) plus point masses; total should be 1.
 
-    ac_error is the summed error estimate of the band integrals over 2 pi.
+    ac_error is the summed error estimate of the band integrals over 2 pi, and
+    point_error the spectrum's summed bound on the errors of the masses (see
+    full_spectrum), so |total - 1| should be within ac_error + point_error.
     """
     alpha = _check_alpha(alpha)
     if spectrum is None or not spectrum.candidates:
         spectrum = full_spectrum(alpha)
-    ac, ac_err = _ac_integral(alpha, spectrum)
-    ac /= TWO_PI
+    ac, ac_err = (x / TWO_PI for x in _ac_integral(alpha, spectrum))
     point = sum(pp.mass for pp in spectrum.pure_points)
-    return {"ac_mass": ac, "point_mass": point, "total": ac + point, "ac_error": ac_err / TWO_PI}
+    return {"ac_mass": ac, "point_mass": point, "total": ac + point, "ac_error": ac_err,
+            "point_error": spectrum.point_error}
 
 
 # ------------------ periodicity of pairs ------------------ #
@@ -673,8 +692,8 @@ def is_periodic_pair(pair: SequencePair, p: int) -> PeriodicityReport:
     unconstrained and only the modulus condition applies.
     """
     N = len(pair)
-    if not 1 <= p <= N - 1:
-        raise InvalidParameters(f"need 1 <= p <= {N - 1} to check at least one index")
+    if not (isinstance(p, (int, np.integer)) and 1 <= p <= N - 1):
+        raise InvalidParameters(f"need an integer 1 <= p <= {N - 1} to check one index, got {p!r}")
     c = np.asarray(pair.c, dtype=float)
     phase = np.angle((1.0 + 1j * c) / (1.0 - 1j * c))
     # window n sums phase[n..n+p-1]; a cumsum difference would lose about

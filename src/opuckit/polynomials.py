@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bijection import SequencePair
+from .chain import _check_finite
 from .errors import InvalidParameters, NumericsError
 
 __all__ = [
@@ -81,14 +82,17 @@ class SzegoState:
 
 
 def szego_eval(alpha, z) -> SzegoState:
-    """Run the coupled recurrence phi_n = z phi - conj(a) phi*, phi* = phi* - a z phi."""
-    z = np.asarray(z, dtype=complex)
+    """Run the coupled recurrence phi_n = z phi - conj(a) phi*, phi* = phi* - a z phi.
+
+    InvalidParameters names the first non-finite alpha or z."""
+    alpha = _check_finite(alpha, "alpha", complex)
+    z = _check_finite(z, "z", complex)
     phi = np.ones_like(z)
     star = np.ones_like(z)
     for a in alpha:
         zphi = z * phi
         phi, star = zphi - np.conj(a) * star, star - a * zphi
-    return SzegoState(n=len(tuple(alpha)), phi=phi, phi_star=star)
+    return SzegoState(n=len(alpha), phi=phi, phi_star=star)
 
 
 def szego_coeffs(alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -182,9 +186,10 @@ def _common_rescale(arrays: list[np.ndarray], exp2: int) -> int:
 
 
 def rq_eval(pair: SequencePair, n: int, z) -> RQValues:
-    """Evaluate R_n at z under a shared power-of-two exponent."""
+    """Evaluate R_n at z under a shared power-of-two exponent; InvalidParameters
+    names the first non-finite z."""
     _check_degree(pair, n)
-    z = np.asarray(z, dtype=complex)
+    z = _check_finite(z, "z", complex)
     shape = z.shape
     z = np.atleast_1d(z)
     r0 = np.ones_like(z)

@@ -153,20 +153,16 @@ def check_period_two_masses() -> str:
 
 
 def check_period_two_normalization() -> str:
-    """Band integrals plus point masses sum to 1, within ac_error, on an
-    open-gap block and on one whose gap at z = -1 is a sliver 4e-9 wide with
-    a candidate on its edge."""
+    """Band integrals plus point masses sum to 1, within ac_error plus
+    point_error, on an open-gap block and on one whose gap at z = -1 is a
+    sliver 4e-9 wide with a candidate on its edge."""
     details = []
     for c, b1, b2 in ((1.0, 0.3, 0.5), (1e-9, 0.3, 0.3)):
         alpha = period_two.family_alpha(period_two.PeriodTwoParams(c=c, b1=b1, b2=b2))
         spec = periodic.full_spectrum(alpha)
         rep = periodic.normalization_report(alpha, spec)
         defect = abs(rep["total"] - 1.0)
-        # the band integrals' estimate plus 16 p eps per point mass: a mass is
-        # a difference of two squared entries of a unit eigenvector, whose
-        # error is the eigen-residual (below p eps in practice) over the
-        # distance to the next candidate
-        bound = rep["ac_error"] + 16 * len(alpha) * _EPS * len(spec.pure_points)
+        bound = rep["ac_error"] + rep["point_error"]
         _require(
             defect <= bound,
             f"normalization defect {defect!r} exceeds {bound!r} at (c, b1, b2) = {(c, b1, b2)}",
@@ -199,21 +195,19 @@ def check_periodic_support_gap() -> str:
 def check_periodic_mass_at_one() -> str:
     """The mass at z = 1 of a periodic alternating block is M_0, the maximal
     parameter of its chain sequence with that periodic tail (six periods
-    stored), to the chain side's error bound plus 16 p eps for the
-    eigenvector mass."""
+    stored), to the chain side's error bound plus the mass's."""
     rng = np.random.default_rng(19)
     p = 6
     c = np.repeat(rng.uniform(0.2, 1.5, p // 2), 2) * np.tile([-1.0, 1.0], p // 2)
     m = np.concatenate([[0.0], rng.uniform(0.1, 0.9, p)])
     spec = periodic.full_spectrum(pair_to_verblunsky(make_pair(c, m=m)).alpha)
-    near = 64.0 * p * _EPS
-    mass = sum(pp.mass for pp in spec.pure_points if abs(pp.w - 1.0) <= near)
+    at_one = [pp for pp in spec.pure_points if abs(pp.w - 1.0) <= 64.0 * p * _EPS]
+    _require(len(at_one) == 1, "no mass at z = 1")
     tail = ChainSequence.from_minimal(np.concatenate([m, np.tile(m[1:], 5)]), tail_period=p)
     maximal = maximal_parameters(tail)
-    m0 = maximal.M[0]
-    bound = maximal.error + 16.0 * p * _EPS
+    mass, m0 = at_one[0].mass, maximal.M[0]
+    bound = maximal.error + at_one[0].error
     defect = abs(mass - m0)
-    _require(mass > 0.0, "no mass at z = 1")
     _require(defect <= bound, f"mass {mass!r} at z = 1 is {defect!r} off M_0 = {m0!r} > {bound!r}")
     return f"mass {mass:.15f}, defect {defect:.1e} <= {bound:.1e}"
 

@@ -38,19 +38,6 @@ def alternating_alpha(rng, p, c_lo, c_hi, m_lo, m_hi):
     return alternating_block(tilde, rng.uniform(m_lo, m_hi, p))
 
 
-def normalization_bound(report, spectrum):
-    """What |total - 1| of normalization_report may reach: the band integrals'
-    error estimate plus 16 p eps of rounding for each point mass.  A mass is
-    a difference of two squared entries of a unit eigenvector of a unitary
-    p x p matrix, so its error is at most about twice the eigenvector's: the
-    eigen-residual (below p eps in practice, checked below 64 p eps) over
-    the distance to the next candidate.  16 p eps allows for a separation of
-    1/8.  Against mpmath the masses were off by at most 1.4 p eps for p = 2
-    to 32."""
-    eps = np.finfo(float).eps
-    return report["ac_error"] + 16 * spectrum.p * eps * len(spectrum.pure_points)
-
-
 def cayley_node_bound(n):
     """What an eigenvalue angle of an (n+1)x(n+1) CMV matrix may be off by on
     the Cayley route of cmv: eigh's backward error, taken as 16 eps ||H|| (the

@@ -17,7 +17,6 @@ from opuckit.cli import main
 
 PAIR_TWO = '{"c": [0, 0], "d": [0.5, 0.25]}'
 PAIR_FOUR = '{"c": [1, -1, 1, -1], "m": [0.5, 0.5, 0.5, 0.5]}'
-EPS = sys.float_info.epsilon
 
 
 def run(capsys, argv):
@@ -188,11 +187,10 @@ def test_periodic_single(capsys):
     assert abs(doc["bands"][0]["lo"] - math.pi / 3.0) < 1e-9
     assert doc["pure_points"][0]["theta"] == 0
     assert abs(doc["pure_points"][0]["mass"] - 2.0 / 3.0) < 1e-10
-    # the band integrals' estimate plus 16 p eps of rounding for the one mass
     norm = doc["normalization"]
-    assert set(norm) == {"ac_mass", "point_mass", "total", "ac_error"}
+    assert set(norm) == {"ac_mass", "point_mass", "total", "ac_error", "point_error"}
     assert 0.0 < norm["ac_error"] <= 1e-12
-    assert abs(norm["total"] - 1.0) <= norm["ac_error"] + 16 * EPS
+    assert abs(norm["total"] - 1.0) <= norm["ac_error"] + norm["point_error"]
 
 
 def test_periodic_p_prefix(capsys):
@@ -291,8 +289,8 @@ def test_demo_reference(capsys):
     assert abs(points[1]["mass"] - 2.0 / 15.0) < 1e-12
     assert len(doc["band_edges"]) == 4
     norm = doc["normalization"]
-    assert set(norm) == {"ac_mass", "point_mass", "total", "ac_error"}
-    assert abs(norm["total"] - 1.0) <= norm["ac_error"] + 2 * 16 * 2 * EPS
+    assert set(norm) == {"ac_mass", "point_mass", "total", "ac_error", "point_error"}
+    assert abs(norm["total"] - 1.0) <= norm["ac_error"] + norm["point_error"]
 
 
 def test_input_from_file(capsys, tmp_path):

@@ -59,9 +59,12 @@ def test_lebesgue_is_uniform_on_roots_of_unity():
 
 def test_lebesgue_moments_vanish():
     n = 8
-    mu = moments(quadrature(lebesgue_pair(n), n), n)
+    meas = quadrature(lebesgue_pair(n), n)
+    mu = moments(meas, n)
     assert abs(mu[0] - 1.0) < 1e-14
     assert np.max(np.abs(mu[1:])) < 1e-12
+    with pytest.raises(InvalidParameters, match="k_max"):
+        moments(meas, -1)
 
 
 def test_first_moment_reproduces_alpha0(rng):

@@ -7,7 +7,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opuckit import (
@@ -40,7 +40,7 @@ from opuckit.errors import (
 )
 from opuckit.polynomials import kappa_from_alpha
 from opuckit.period_two import PeriodTwoParams, family_alpha
-from conftest import alternating_alpha, alternating_block, normalization_bound, random_alpha
+from conftest import alternating_alpha, alternating_block, random_alpha
 
 TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
@@ -50,6 +50,13 @@ def transfer_rounding(alpha):
     """16 p eps prod_j (1 + |alpha_j|)/rho_j, the rounding bound of the transfer product."""
     norm = math.prod((1 + abs(a)) / math.sqrt(1 - abs(a) ** 2) for a in alpha)
     return 16 * len(alpha) * EPS * norm
+
+
+def checked_report(alpha, spec=None):
+    """normalization_report, with |total - 1| within ac_error + point_error."""
+    report = normalization_report(alpha, spec)
+    assert abs(report["total"] - 1.0) <= report["ac_error"] + report["point_error"]
+    return report
 
 
 def assert_bands_match_discriminant(alpha, spec):
@@ -183,9 +190,7 @@ def test_full_spectrum_single_without_mass():
     spec = full_spectrum((-0.5,))
     assert spec.candidate_thetas == (0.0,)
     assert spec.pure_points == ()
-    report = normalization_report((-0.5,), spec)
-    assert report["point_mass"] == 0.0
-    assert abs(report["total"] - 1.0) <= normalization_bound(report, spec)
+    assert checked_report((-0.5,), spec)["point_mass"] == 0.0
 
 
 def test_mass_series_agreement():
@@ -198,6 +203,12 @@ def test_mass_series_agreement():
 def test_mass_series_rejects_non_finite_w(w):
     with pytest.raises(InvalidParameters, match="not finite"):
         mass_series((0.5,), w, 100)
+
+
+@pytest.mark.parametrize("n_terms", [0, -5, 2.5])
+def test_mass_series_rejects_n_terms_below_one(n_terms):
+    with pytest.raises(InvalidParameters, match="n_terms"):
+        mass_series((0.5,), 1.0, n_terms)
 
 
 def test_not_a_candidate():
@@ -225,10 +236,7 @@ def test_normalization_free_case():
 
 
 def test_normalization_single_with_mass():
-    spec = full_spectrum((0.5,))
-    report = normalization_report((0.5,), spec)
-    assert abs(report["point_mass"] - 2.0 / 3.0) < 1e-12
-    assert abs(report["total"] - 1.0) <= normalization_bound(report, spec)
+    assert abs(checked_report((0.5,))["point_mass"] - 2.0 / 3.0) < 1e-12
 
 
 def test_period_three_structure():
@@ -246,8 +254,7 @@ def test_period_three_structure():
             assert abs(discriminant(alpha, mid)) > 2.0
     assert len(spec.candidates) == 3
     assert len(spec.candidate_thetas) == 3
-    report = normalization_report(alpha, spec)
-    assert abs(report["total"] - 1.0) <= normalization_bound(report, spec)
+    checked_report(alpha, spec)
 
 
 def test_band_and_gap_angles_cover_circle():
@@ -340,7 +347,7 @@ def test_masses_against_mpmath(p, seed):
     spec = full_spectrum(alpha)
     ref = mp_candidates(alpha)
     assert max(r[2] for r in ref) <= 1e-9
-    masses = {pp.theta: pp.mass for pp in spec.pure_points}
+    points = {pp.theta: pp for pp in spec.pure_points}
     assert len(spec.candidate_thetas) == p
     for got in spec.candidate_thetas:
         # a candidate at z = 1 may sit on either side of the cut
@@ -348,19 +355,27 @@ def test_masses_against_mpmath(p, seed):
         j = int(np.argmin(dist))
         assert dist[j] <= 64 * p * EPS
         want = ref.pop(j)[1]
-        assert (got in masses) == (want > 0.0)
-        assert abs(masses.get(got, 0.0) - want) <= 16 * p * EPS
+        assert (got in points) == (want > 0.0)
+        if got in points:
+            assert abs(points[got].mass - want) <= points[got].error
 
 
 def mass_at_one(spectrum):
-    """full_spectrum's mass at z = 1, to the eigensolver's 64 p eps, or 0.0
-    when there is none, and what it may be off by: twice its eigenvector's
-    error, the eigen-residual (p eps in practice) over the distance to the
-    nearest other candidate, taken as at most 1/8 (see normalization_bound)."""
+    """full_spectrum's mass at z = 1, to the eigensolver's 64 p eps, and its
+    error bound, or 0.0 and the spectrum's summed bound when there is none."""
     near = 64 * spectrum.p * EPS
-    sep = min([abs(c - 1.0) for c in spectrum.candidates if abs(c - 1.0) > near] + [0.125])
-    mass = sum(pp.mass for pp in spectrum.pure_points if abs(pp.w - 1.0) <= near)
-    return mass, 2 * spectrum.p * EPS / sep
+    at_one = [pp for pp in spectrum.pure_points if abs(pp.w - 1.0) <= near]
+    if not at_one:
+        return 0.0, spectrum.point_error
+    return at_one[0].mass, at_one[0].error
+
+
+def draw_alternating_block(data):
+    """An alternating block with even p <= 32."""
+    half = data.draw(st.integers(1, 16))
+    tilde = data.draw(st.lists(st.floats(0.0, 1.5), min_size=half, max_size=half))
+    m = data.draw(st.lists(st.floats(0.05, 0.95), min_size=2 * half, max_size=2 * half))
+    return tilde, m
 
 
 @settings(max_examples=60, deadline=None)
@@ -368,21 +383,52 @@ def mass_at_one(spectrum):
 def test_mass_at_one_is_m0_of_the_periodic_chain(data):
     # the mass at z = 1 of the periodic alternating block is M_0 of its chain
     # sequence with that periodic tail; a backward pass over d and the
-    # eigenvectors of a CMV matrix share no code
-    half = data.draw(st.integers(1, 4))
-    tilde = data.draw(st.lists(st.floats(0.0, 1.5), min_size=half, max_size=half))
-    m = data.draw(st.lists(st.floats(0.05, 0.95), min_size=2 * half, max_size=2 * half))
-    p = 2 * half
+    # eigenvectors of a CMV matrix share no code, and each side reports its
+    # own error bound
+    tilde, m = draw_alternating_block(data)
     spectrum = full_spectrum(alternating_block(tilde, m))
-    tail = ChainSequence.from_minimal([0.0] + m * 6, tail_period=p)
+    tail = ChainSequence.from_minimal([0.0] + m * 6, tail_period=len(m))
     maximal = maximal_parameters(tail)
-    # the chain side: maximal.error, the fixed point's error carried through
-    # the pass plus its rounding; the eigenvector side: at least 16 p eps, more
-    # where another candidate is near z = 1 (0.00072 rad away on the block
-    # m = (0.05, 0.5, 0.05, 0.05, 0.95, 0.95, 0.95, 0.05), whose mass is
-    # 1.7e-13 off M_0 while maximal.error is 1.9e-14)
     mass, mass_error = mass_at_one(spectrum)
     assert abs(mass - maximal.M[0]) <= maximal.error + mass_error
+
+
+def edge_distance(spectrum):
+    """The smallest circle distance from a band edge to a candidate."""
+    edges = np.array([(band.lo, band.hi) for band in spectrum.bands]).reshape(-1, 1)
+    t = np.array(spectrum.candidate_thetas)
+    return float(np.min(np.abs((edges - t + math.pi) % TWO_PI - math.pi)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_normalization_within_reported_errors(data):
+    # the band integrals plus the masses sum to 1 within ac_error plus
+    # point_error, however close two candidates come.  A candidate within
+    # the eigensolver's 64 p eps of a band edge is left out: the band
+    # integrals take it to be on the edge, and ac_error does not cover what
+    # that may cost (test_candidate_just_off_an_edge)
+    tilde, m = draw_alternating_block(data)
+    alpha = alternating_block(tilde, m)
+    spec = full_spectrum(alpha)
+    assume(edge_distance(spec) > 64 * len(alpha) * EPS)
+    checked_report(alpha, spec)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a candidate 3.6e-15 outside a band edge is taken to be on it, and the band "
+    "integrals miss the density's dip next to the edge: |total - 1| is 2.6e-8 against "
+    "ac_error 4.8e-11; the masses match mpmath to 4e-15",
+)
+def test_candidate_just_off_an_edge():
+    tilde = [0.25122402411473294, 0.9325193092155992, 0.640583743988319, 0.5,
+             0.879802779200354, 0.8125558376255847, 0.19325169364736955,
+             0.41568635777038276, 0.31981420621582923, 0.4460961430494399, 0.2]
+    m = [0.7930500573961, 0.877458729845183, 0.6829202782351107, 0.8175085204568135,
+         0.4919347151072969, 0.05, 0.95, 0.8898065278002971, 0.95, 0.5,
+         0.8933169280491831] + tilde
+    checked_report(alternating_block(tilde, m))
 
 
 def min_cos_half(spectrum):
@@ -420,21 +466,30 @@ def test_bands_thinner_than_rounding(p, seeds):
         spec = full_spectrum(alpha)
         assert len(spec.bands) == len(spec.gaps) == p
         assert len(spec.plus_solutions) == len(spec.minus_solutions) == p
-        report = normalization_report(alpha, spec)
-        assert abs(report["total"] - 1.0) <= normalization_bound(report, spec)
+        checked_report(alpha, spec)
+
+
+def assert_clustered_block_within_errors(seed, p):
+    alpha = alternating_alpha(np.random.default_rng(seed), p, 0.2, 1.5, 0.05, 0.95)
+    spec = full_spectrum(alpha)
+    report = checked_report(alpha, spec)
+    assert all(math.isfinite(v) for v in report.values())
+    assert all(math.isfinite(x) for b in spec.bands for x in (b.lo, b.hi))
+    assert all(math.isfinite(pp.mass) for pp in spec.pure_points)
 
 
 def test_period_512_leaks_no_warning():
     # deep in this block's gaps the Floquet entries reach 1e180 at quadrature
     # nodes and Delta^2 overflows; pyproject turns a warning from the package
-    # into an error.  Its total misses 1 by 1.5e-3 (two candidates 1.1e-13
-    # apart), which this test does not check
-    alpha = alternating_alpha(np.random.default_rng(1), 512, 0.2, 1.5, 0.05, 0.95)
-    spec = full_spectrum(alpha)
-    report = normalization_report(alpha, spec)
-    assert all(math.isfinite(v) for v in report.values())
-    assert all(math.isfinite(x) for b in spec.bands for x in (b.lo, b.hi))
-    assert all(math.isfinite(pp.mass) for pp in spec.pure_points)
+    # into an error.  Its total misses 1 by 1.5e-3 with ac_error 0: two
+    # candidates 1.1e-13 apart mix their eigenvectors, which point_error covers
+    assert_clustered_block_within_errors(1, 512)
+
+
+def test_period_256_cluster_within_point_error():
+    # |total - 1| is 1.9e-4 against ac_error 5.3e-6; the closest candidates
+    # are 1.6e-12 apart
+    assert_clustered_block_within_errors(1001, 256)
 
 
 def test_discriminant_bound_at_period_32():
@@ -444,15 +499,6 @@ def test_discriminant_bound_at_period_32():
     discriminant(alpha, np.linspace(0.0, TWO_PI, 4096 * 32))
     spec = band_structure(alpha)
     assert_bands_match_discriminant(alpha, spec)
-
-
-def gap_side_distance(spectrum):
-    """The smallest distance from a band edge to a candidate outside it."""
-    edges = [(band.lo, 1.0) for band in spectrum.bands]
-    edges += [(band.hi, -1.0) for band in spectrum.bands]
-    return min(
-        (sign * (edge - t)) % TWO_PI for edge, sign in edges for t in spectrum.candidate_thetas
-    )
 
 
 @pytest.mark.parametrize(
@@ -471,10 +517,8 @@ def test_near_pole_normalization(seed, lo, hi, estimate):
     # pole limits any rule to about 1e-10 there
     alpha = alternating_alpha(np.random.default_rng(seed), 16, 0.2, 1.0, 0.3, 0.7)
     spec = full_spectrum(alpha)
-    assert lo < gap_side_distance(spec) < hi
-    report = normalization_report(alpha, spec)
-    assert report["ac_error"] <= estimate
-    assert abs(report["total"] - 1.0) <= normalization_bound(report, spec)
+    assert lo < edge_distance(spec) < hi
+    assert checked_report(alpha, spec)["ac_error"] <= estimate
 
 
 def test_normalization_over_period_two_grid():
@@ -489,7 +533,7 @@ def test_normalization_over_period_two_grid():
                 alpha = family_alpha(PeriodTwoParams(c, b1, b2))
                 spec = full_spectrum(alpha)
                 report = normalization_report(alpha, spec)
-                bound = normalization_bound(report, spec)
+                bound = report["ac_error"] + report["point_error"]
                 assert abs(report["total"] - 1.0) <= bound, (c, b1, b2)
                 worst = max(worst, bound)
     assert worst <= 1e-11
@@ -505,10 +549,7 @@ def test_normalization_at_nearly_closed_gap(b):
     # the gap at z = -1 is 4e-12 wide with a candidate on its edge:
     # |total - 1| is 3.1e-12 (b = 0.3) and 1.7e-12 (b = 0.7) against ac_error
     # 8.8e-13 and 5.1e-13
-    alpha = family_alpha(PeriodTwoParams(1e-12, b, b))
-    spec = full_spectrum(alpha)
-    report = normalization_report(alpha, spec)
-    assert abs(report["total"] - 1.0) <= normalization_bound(report, spec)
+    checked_report(family_alpha(PeriodTwoParams(1e-12, b, b)))
 
 
 def test_normalization_at_period_16():
@@ -516,7 +557,7 @@ def test_normalization_at_period_16():
         alpha = alternating_alpha(np.random.default_rng(seed), 16, 0.2, 1.0, 0.3, 0.7)
         spec = full_spectrum(alpha)
         report = normalization_report(alpha, spec)
-        assert abs(report["total"] - 1.0) <= normalization_bound(report, spec), seed
+        assert abs(report["total"] - 1.0) <= report["ac_error"] + report["point_error"], seed
         assert report["ac_error"] <= 1e-10
 
 
@@ -526,9 +567,7 @@ def test_normalization_past_kappa_overflow():
     alpha = (0.999,) * 240
     with pytest.raises(NumericsError, match="kappa overflows"):
         kappa_from_alpha(alpha)
-    spec = full_spectrum(alpha)
-    report = normalization_report(alpha, spec)
-    assert abs(report["total"] - 1.0) <= normalization_bound(report, spec)
+    checked_report(alpha)
 
 
 def test_candidate_check_names_index_and_value(monkeypatch):
@@ -587,11 +626,10 @@ def test_is_periodic_pair_true_and_false(rng):
 
 
 def test_is_periodic_pair_validation(rng):
-    pair = verblunsky_to_pair((0.3, 0.3))
-    with pytest.raises(InvalidParameters):
-        is_periodic_pair(pair, 2)
-    with pytest.raises(InvalidParameters):
-        is_periodic_pair(pair, 0)
+    pair = verblunsky_to_pair((0.3, 0.3, 0.3))
+    for p in (3, 0, 1.5):
+        with pytest.raises(InvalidParameters, match=f"got {p}"):
+            is_periodic_pair(pair, p)
 
 
 def test_is_periodic_pair_counts_checks():

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from opuckit import (
+    PeriodTwoParams,
+    family_discriminant,
+    family_weight,
     kappa_from_alpha,
     make_pair,
     pair_to_verblunsky,
@@ -14,6 +17,7 @@ from opuckit import (
     rq_eval,
     szego_coeffs,
     szego_eval,
+    tau_from_c,
     w_eval,
     w_from_r_check,
 )
@@ -218,3 +222,21 @@ def test_degree_validation(rng):
         r_coeffs(pair, -1)
     # no degree cap: every stored degree has its coefficient array
     assert r_coeffs(random_pair(rng, 70), 70).coeffs.shape == (71,)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call, entry",
+    [
+        (lambda bad: tau_from_c([0.1, bad]), r"c\[1\]"),
+        (lambda bad: rq_eval(make_pair([0.0], d=[0.5]), 1, [0.5, bad]), r"z\[1\]"),
+        (lambda bad: szego_eval([0.2], bad), "z"),
+        (lambda bad: family_weight(PeriodTwoParams(1.0, 0.3, 0.5), bad), "theta"),
+        (lambda bad: family_discriminant(PeriodTwoParams(1.0, 0.3, 0.5), [1.0, bad]), r"theta\[1\]"),
+    ],
+    ids=["tau_from_c", "rq_eval", "szego_eval", "family_weight", "family_discriminant"],
+)
+def test_non_finite_input_names_the_entry(call, entry, bad):
+    with pytest.raises(InvalidParameters, match=rf"^{entry} = \(?(nan|inf)"):
+        call(bad)
