@@ -188,7 +188,7 @@ def verblunsky_to_pair(alpha) -> SequencePair:
     for n, an in enumerate(a.tolist(), start=1):
         un = t * an
         denom = 1.0 - un.real
-        if denom <= 1e-15:
+        if denom <= 0.0:
             raise DegenerateDenominator(
                 f"1 - Re(tau_{n - 1} alpha_{n - 1}) = {denom!r} at index {n - 1}"
             )

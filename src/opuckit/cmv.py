@@ -56,7 +56,7 @@ import math
 
 import numpy as np
 
-__all__ = ["cmv_matrix", "floquet_matrix", "cayley_level", "cayley_angles", "nearest_one", "gauss_szego"]
+__all__ = ["cmv_matrix", "floquet_matrix", "cayley_level", "cayley_angles", "nearest_one"]
 
 
 def _product(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -156,19 +156,3 @@ def nearest_one(theta: np.ndarray, first, last):
     near = np.minimum(theta[ends], 2.0 * math.pi - theta[ends])
     return np.where(near[0] <= near[1], first, last)
 
-
-def gauss_szego(alpha, beta: complex, pole: float) -> tuple[np.ndarray, np.ndarray]:
-    """Angles and weights of the spectral measure of e_0 under C.
-
-    The eigenvalue nearest z = 1 comes first at angle exactly 0, then the
-    others with ascending angles; the weight of each is |Q[0, j]|^2 for the
-    unit eigenvectors Q of the Cayley transform with its pole at e^{i pole}.
-    """
-    k = len(alpha)
-    u = cmv_matrix(alpha, beta)
-    h, first = cayley_level(u, k, complex(alpha[-1]), complex(beta).conjugate(), pole, vectors=True)
-    theta = cayley_angles(h, pole)
-    order = np.argsort(theta)
-    theta, w = theta[order], np.abs(first[order]) ** 2
-    j0 = int(nearest_one(theta, 0, k))
-    return np.concatenate([[0.0], np.delete(theta, j0)]), np.concatenate([[w[j0]], np.delete(w, j0)])

@@ -1,11 +1,11 @@
 """Discrete approximating measures built on the para-orthogonal zeros.
 
 psi_n is the Gauss-Szego rule of the (n+1)x(n+1) unitary CMV matrix of
-alpha_0..alpha_{n-1} closed with alpha_n = conj(tau_n) (see cmv): its nodes
-are z = 1 and the n zeros of R_n, and its weights lambda_{n,j} = |Q[0, j]|^2
-come from the eigenvectors Q of the matrix's Hermitian Cayley transform H,
-whose pole is that of level n of zeros._poles, so they are non-negative (deep
-in a spectral gap one can round to 0.0, below the vectors' accuracy of about
+alpha_0..alpha_{n-1} closed with alpha_n = conj(tau_n) (see cmv): level n of
+zeros._levels with weights.  Its nodes are z = 1 and the n zeros of R_n, and
+its weights lambda_{n,j} = |Q[0, j]|^2 come from the eigenvectors Q of that
+level's Hermitian Cayley transform, so they are non-negative (deep in a
+spectral gap one can round to 0.0, below the vectors' accuracy of about
 n eps) and sum to one up to rounding.  The cumulative step function uses the
 left-open/right-closed branches
 
@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bijection import SequencePair, _alpha_tau
-from .cmv import gauss_szego
+from .bijection import SequencePair
 from .errors import InternalInvariant, InvalidParameters, NegativeWeight
-from .zeros import _poles
+from .zeros import _levels
 
 __all__ = ["DiscreteMeasure", "quadrature", "moments", "step_eval"]
 
@@ -46,10 +45,9 @@ class DiscreteMeasure:
 def quadrature(pair: SequencePair, n: int) -> DiscreteMeasure:
     """Nodes and weights of psi_n; NegativeWeight for a weight below 0 (or NaN),
     InternalInvariant for weights that do not sum to 1 within 1e-10."""
-    if not 1 <= n <= len(pair):
-        raise InvalidParameters(f"need 1 <= n <= {len(pair)}, got {n}")
-    alpha, tau = _alpha_tau(pair.c[:n], pair.m[1 : n + 1])
-    theta, lam = gauss_szego(alpha, tau[n].conjugate(), _poles(pair, n)[-1])
+    theta, _, lam, one = _levels(pair, n, n, weights=True)
+    theta = np.concatenate([[0.0], theta])
+    lam = np.concatenate([one, lam])
     bad = np.flatnonzero(~(lam >= 0.0))
     if bad.size:
         raise NegativeWeight(int(bad[0]), float(lam[bad[0]]))

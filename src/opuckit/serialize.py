@@ -6,9 +6,12 @@ float array, one ``np.isfinite`` pass rejects NaN and infinities
 value is rendered by '%.17g' ('.' as the decimal separator).  A float array,
 or a list or tuple holding only floats, is written by a single '%' of one
 template over all its values, nested like the array's shape, so an (n, 2)
-array reads [[re, im], ...].  Scalars, ints, strings, dicts and mixed lists
-take the recursive route, whose floats go through the same rule one at a
-time.  Output has LF line endings, and equal floats always give equal bytes.
+array reads [[re, im], ...].  A CSV table takes the array route too: each
+float column passes the same check as one array, and the table is rendered
+by a single '%' of a row template ('%d' for a column of ints alone).
+Scalars, ints, strings, dicts and mixed lists take the recursive route,
+whose floats go through the same rule one at a time.  Output has LF line
+endings, and equal floats always give equal bytes.
 '%.17g' itself costs about 0.31 us per float on a 2-core x86 host (0.125 s
 for 400000 floats, against 0.146 s for the whole array route), which bounds
 any byte-identical emitter from below.
@@ -121,19 +124,24 @@ def complex_pairs(values) -> np.ndarray:
 
 
 def write_csv(path, header: str, rows) -> None:
-    """Rows of ints/floats under a fixed header, LF endings."""
-    lines = [header]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, bool):
-                raise InternalInvariant("bool cell in CSV output")
-            if isinstance(cell, int):
-                cells.append(str(cell))
-            else:
-                cells.append(format_float(cell))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
+    """Rows under a fixed header, LF endings.  A column of ints alone is
+    written by '%d', any other column by the float route; the table is
+    rendered by one '%' of a row template repeated once per row."""
+    rows = list(rows)
+    width = header.count(",") + 1
+    if set(map(len, rows)) - {width}:
+        raise InternalInvariant(f"CSV row without the {width} cells of {header!r}")
+    cells = [None] * (len(rows) * width)
+    template = []
+    for j, col in enumerate(zip(*rows)):
+        kinds = set(map(type, col))
+        if bool in kinds:
+            raise InternalInvariant("bool cell in CSV output")
+        integer = kinds == {int}
+        template.append("%d" if integer else "%.17g")
+        cells[j::width] = col if integer else _checked(col).tolist()
+    table = ("\n" + ",".join(template)) * len(rows) % tuple(cells)
+    Path(path).write_text(header + table + "\n", encoding="ascii", newline="")
 
 
 # ------------------ input parsing ------------------ #

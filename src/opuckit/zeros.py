@@ -8,10 +8,11 @@ cmv): one eigenvalue is z = 1, the other k are the zeros of R_k.  The ladder
 factors one CMV matrix U = L M of alpha_0..alpha_{n-1} and takes level k as
 its leading (k+1)x(k+1) block with line k replaced: column k for odd k, row
 k for even k, tau_k (rho_{k-1}, -alpha_{k-1}) at k - 1, k.  Each level then
-costs one inverse and one eigvalsh of its Cayley transform; the angles, the
-sort, the drop of the eigenvalue nearest z = 1, x = cos(theta/2) and the
-interlacing check of consecutive levels run once over all levels.  One pass
-of Sturm counts (below) places the pole of every level's Cayley transform.
+costs one inverse and one eigvalsh of its Cayley transform (eigh for the
+weights of psi_n, see measure); the angles, the sort, the drop of the
+eigenvalue nearest z = 1, x = cos(theta/2) and the interlacing check of
+consecutive levels run once over all levels.  One pass of Sturm counts
+(below) places the pole of every level's Cayley transform.
 
 support_gap_check tests the paper's zero-free interval on every level
 without the ladder: the three-term recurrence of W_n gives a Sturm sign
@@ -80,9 +81,10 @@ def _check_depth(pair: SequencePair, n: int) -> None:
         raise InvalidParameters(f"need 1 <= n <= {len(pair)}, got {n}")
 
 
-def _levels(pair: SequencePair, n: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+def _levels(pair: SequencePair, n: int, first: int, weights: bool = False):
     """theta and x = cos(theta/2) of levels first..n one after the other,
-    each level's angles ascending.
+    each level's angles ascending.  With weights, also the Gauss-Szego
+    weights |Q[0, j]|^2 of those angles, then those of z = 1, one per level.
 
     Each level is one cayley_level step on the slices of a single CMV matrix;
     the angles, the sort and the drop of the eigenvalue nearest z = 1 then
@@ -93,17 +95,23 @@ def _levels(pair: SequencePair, n: int, first: int) -> tuple[np.ndarray, np.ndar
     u = cmv_matrix(alpha, tau[n].conjugate())
     poles = _poles(pair, n)[first - 1 :]
     levels = np.arange(first, n + 1)
-    h = [
-        cayley_level(u, k, alpha[k - 1], tau[k], pole)[0]
+    h, q = zip(*[
+        cayley_level(u, k, alpha[k - 1], tau[k], pole, weights)
         for k, pole in zip(levels.tolist(), poles.tolist())
-    ]
+    ])
     size = levels + 1
     level = np.repeat(levels, size)
     theta = cayley_angles(np.concatenate(h), np.repeat(poles, size))
-    theta = theta[np.lexsort((theta, level))]
+    order = np.lexsort((theta, level))
+    theta = theta[order]
     last = np.cumsum(size) - 1
-    theta = np.delete(theta, nearest_one(theta, last - levels, last))
-    return theta, np.cos(0.5 * theta)
+    one = nearest_one(theta, last - levels, last)
+    theta = np.delete(theta, one)
+    x = np.cos(0.5 * theta)
+    if not weights:
+        return theta, x
+    w = np.abs(np.concatenate(q)[order]) ** 2
+    return theta, x, np.delete(w, one), w[one]
 
 
 def _check_interlacing(x: np.ndarray, n: int) -> None:

@@ -123,9 +123,29 @@ def test_backward_rejects_modulus_one():
         verblunsky_to_pair([0.5, 1.0])
 
 
+# 1 - Re(tau_1 alpha_1) rounds to 0 though |alpha_1| < 1: |tau_1| rounds
+# above 1, and alpha_1 has modulus 1 - 2^-53 along conj(tau_1)
+DEGENERATE_ALPHA = [
+    -0.0893891400312834 + 0.5333836865171296j,
+    0.6132609716766605 - 0.7898803584203102j,
+]
+
+
 def test_backward_degenerate_near_one():
-    with pytest.raises(DegenerateDenominator):
-        verblunsky_to_pair([0.9999999999999999])
+    with pytest.raises(DegenerateDenominator, match="at index 1"):
+        verblunsky_to_pair(DEGENERATE_ALPHA)
+
+
+@pytest.mark.parametrize("m1", [5.551115123125783e-17, 2.7755575615628914e-16])
+def test_backward_map_takes_the_forward_image_near_one(m1):
+    # the least m_1 > 0 the eps rule admits, and 5 times it: alpha_0 lies
+    # within a few eps of 1, and the backward map gives the pair back
+    pair = make_pair([0.0], m=[0.0, m1])
+    alpha = pair_to_verblunsky(pair).alpha
+    assert 1.0 - abs(alpha[0]) < 1e-15
+    back = verblunsky_to_pair(alpha)
+    assert back.m == pair.m and back.c == pair.c
+    assert pair_to_verblunsky(back).alpha == alpha
 
 
 def test_make_pair_exactly_one_family():

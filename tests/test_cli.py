@@ -436,11 +436,42 @@ def test_options_that_do_nothing_are_refused(capsys, argv):
 
 
 def test_exit_3_degenerate_backward_map(capsys):
-    code, _, err = run(
-        capsys, ["alpha2pair", "--input", '{"alpha": [[0.9999999999999999, 0]]}']
+    # 1 - Re(tau_1 alpha_1) rounds to 0, though |alpha_1| < 1
+    alpha = (
+        "[[-0.0893891400312834, 0.5333836865171296], "
+        "[0.6132609716766605, -0.7898803584203102]]"
     )
+    code, _, err = run(capsys, ["alpha2pair", "--input", '{"alpha": %s}' % alpha])
     assert code == 3
     assert error_type(err) == "DegenerateDenominator"
+
+
+def test_pair_commands_read_an_alpha_document(capsys):
+    # zeros and quadrature on alpha print what they print on the pair that
+    # alpha2pair gives for it, tail_period included
+    alpha = json.loads(ALPHA_THREE)["alpha"]
+    doc = run_json(capsys, ["alpha2pair", "--input", ALPHA_THREE])
+    for tail in (None, 2):
+        extra = {} if tail is None else {"tail_period": tail}
+        by_alpha = json.dumps({"alpha": alpha, **extra})
+        by_pair = json.dumps({"c": doc["c"], "m": doc["m"], **extra})
+        for command in ("zeros", "quadrature"):
+            code, out, err = run(capsys, [command, "--input", by_alpha])
+            assert code == 0, err
+            assert (code, out, err) == run(capsys, [command, "--input", by_pair])
+    past = json.dumps({"alpha": alpha, "tail_period": len(alpha) + 1})
+    code, _, err = run(capsys, ["zeros", "--input", past])
+    assert code == 2
+    assert error_type(err) == "InvalidParameters"
+
+
+@pytest.mark.parametrize("a", [0.9999999999999999, 0.9999999999999994])
+def test_alpha2pair_round_trips_near_one(capsys, a):
+    # alpha_0 within a few eps of 1 is the forward image of m_1 = (1 - a)/2
+    doc = run_json(capsys, ["alpha2pair", "--input", '{"alpha": [[%r, 0]]}' % a])
+    pair = json.dumps({"c": doc["c"], "m": doc["m"]})
+    back = run_json(capsys, ["pair2alpha", "--input", pair])
+    assert back["alpha"] == [[a, 0]]
 
 
 def test_float_rendering_no_negative_zero(capsys):

@@ -21,7 +21,7 @@ from opuckit import (
     w_zeros,
     zero_ladder,
 )
-from opuckit import measure, zeros
+from opuckit import zeros
 from opuckit.errors import InvalidParameters
 from opuckit.measure import _SUM_TOL
 from conftest import cayley_node_bound, random_pair
@@ -294,7 +294,6 @@ def test_ladders_and_quadrature_convert_only_n_terms(rng, monkeypatch):
         return convert(c, m)
 
     monkeypatch.setattr(zeros, "_alpha_tau", counting)
-    monkeypatch.setattr(measure, "_alpha_tau", counting)
 
     def results(p):
         ladder = zero_ladder(p, n)

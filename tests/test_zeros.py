@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from opuckit import (
     make_pair,
     pair_to_verblunsky,
+    quadrature,
     r_coeffs,
     support_gap_check,
     w_eval,
@@ -114,7 +115,7 @@ def test_against_companion_roots(rng):
 
 def test_ladder_validation(rng):
     pair = random_pair(rng, 3)
-    for fn in (zero_ladder, w_zeros):
+    for fn in (zero_ladder, w_zeros, quadrature):
         with pytest.raises(InvalidParameters):
             fn(pair, 0)
         with pytest.raises(InvalidParameters):
@@ -128,6 +129,23 @@ def test_w_zeros_is_top_of_ladder(rng):
     zs = w_zeros(pair, 40)
     assert zs.n == top.n == 40
     assert np.array_equal(zs.x, top.x) and np.array_equal(zs.theta, top.theta)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_quadrature_nodes_are_the_top_level(data):
+    # psi_n is level n of the ladder's level routine with weights: eigh's
+    # angles against eigvalsh's on the same Cayley transform, within the
+    # node bound of each
+    n = data.draw(st.integers(1, 120))
+    c = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    m = data.draw(st.lists(st.floats(0.02, 0.98), min_size=n, max_size=n))
+    pair = make_pair(c, m=[0.0] + m)
+    meas = quadrature(pair, n)
+    zs = w_zeros(pair, n)
+    assert meas.theta[0] == 0.0 and meas.theta.size == n + 1
+    gap = np.abs(np.angle(np.exp(1j * (meas.theta[1:] - zs.theta))))
+    assert np.all(gap <= 2.0 * cayley_node_bound(n))
 
 
 @settings(max_examples=20, deadline=None)
