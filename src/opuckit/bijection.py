@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSequence, _check_finite, d_from_minimal
-from .errors import DegenerateDenominator, InvalidParameters
+from .chain import ChainSequence, _check_finite
+from .errors import InvalidParameters
 
 __all__ = [
     "SequencePair",
@@ -181,16 +181,19 @@ def _alpha_in_disc(alpha) -> np.ndarray:
 
 
 def verblunsky_to_pair(alpha) -> SequencePair:
-    """Backward direction; recovers (c, m) and rebuilds d from m."""
+    """Backward direction; recovers (c, m) and rebuilds d from m.  An alpha_k
+    within rounding of the unit circle is InvalidParameters."""
     a = _alpha_in_disc(alpha)
     u = []  # u_n = tau_{n-1} alpha_{n-1}
     t = 1.0 + 0.0j
     for n, an in enumerate(a.tolist(), start=1):
         un = t * an
         denom = 1.0 - un.real
+        # only 1 - |alpha|^2 within a few hundred eps rounds this to <= 0
         if denom <= 0.0:
-            raise DegenerateDenominator(
-                f"1 - Re(tau_{n - 1} alpha_{n - 1}) = {denom!r} at index {n - 1}"
+            raise InvalidParameters(
+                f"1 - Re(tau_{n - 1} alpha_{n - 1}) = {denom!r} at index {n - 1}: "
+                f"alpha[{n - 1}] = {an!r} lies within rounding of the unit circle"
             )
         u.append(un)
         t = t * ((1.0 - un.conjugate()) / (1.0 - un))
@@ -201,5 +204,4 @@ def verblunsky_to_pair(alpha) -> SequencePair:
     c = -u.imag / denom
     # |1 - u| by the libm hypot, as Python's abs(complex) takes it
     m = np.concatenate(([0.0], 0.5 * np.hypot(denom, u.imag) ** 2 / denom))
-    chain = ChainSequence(d=d_from_minimal(m), m=tuple(m.tolist()))
-    return SequencePair(c=tuple(c.tolist()), chain=chain)
+    return SequencePair(c=tuple(c.tolist()), chain=ChainSequence.from_minimal(m))

@@ -118,6 +118,9 @@ class ChainSequence:
                 f"d_{n} = {float(d[n - 1])!r} is not (1 - m_{n - 1}) m_{n} = "
                 f"{float(want[n - 1])!r}: m are not the minimal parameters of d"
             )
+        self._check_tail()
+
+    def _check_tail(self):
         if self.tail_period is not None:
             p = self.tail_period
             if not (isinstance(p, int) and 1 <= p <= len(self.d)):
@@ -132,8 +135,12 @@ class ChainSequence:
 
     @classmethod
     def from_minimal(cls, m, tail_period: int | None = None) -> "ChainSequence":
+        """d is derived from m once, so __post_init__'s check of it is skipped."""
         m = np.asarray(m, dtype=float)
-        return cls(d=d_from_minimal(m), m=tuple(m.tolist()), tail_period=tail_period)
+        chain = object.__new__(cls)
+        chain.__dict__.update(d=d_from_minimal(m), m=tuple(m.tolist()), tail_period=tail_period)
+        chain._check_tail()
+        return chain
 
     def __len__(self) -> int:
         return len(self.d)

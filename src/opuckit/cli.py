@@ -163,21 +163,19 @@ def cmd_cdf(args):
 def cmd_poly(args):
     pair = _load_pair(args)
     n = _resolve_n(args, pair)
-    levels = {"R": [[[1.0, 0.0]]], "Q": [[]]}  # level 0: R_0 = 1, Q_0 = 0
-    for k in range(1, n + 1):
-        levels["R"].append(complex_pairs(polynomials.r_coeffs(pair, k).coeffs))
-        levels["Q"].append(complex_pairs(polynomials.q_coeffs(pair, k).coeffs))
-    tables = {
-        f"poly_{name.lower()}.csv": (
-            "n,k,re,im",
-            [
-                (lvl, k, re, im)
-                for lvl, coeffs in enumerate(by_level)
-                for k, (re, im) in enumerate(coeffs)
-            ],
-        )
-        for name, by_level in levels.items()
-    }
+    levels, tables = {}, {}
+    for name in ("R", "Q"):
+        # Q_k has k coefficients: Q_0 = 0 is written as no row
+        levels[name] = [
+            complex_pairs(coeffs if name == "R" else coeffs[:k])
+            for k, coeffs in enumerate(polynomials._rq_levels(pair, n, name))
+        ]
+        rows = [
+            (lvl, k, re, im)
+            for lvl, coeffs in enumerate(levels[name])
+            for k, (re, im) in enumerate(coeffs)
+        ]
+        tables[f"poly_{name.lower()}.csv"] = ("n,k,re,im", rows)
     return {"n": n, **levels}, tables
 
 

@@ -49,10 +49,6 @@ class NoConvergence(NumericsError):
     pass
 
 
-class DegenerateDenominator(NumericsError):
-    pass
-
-
 class GapViolated(NumericsError):
     """A zero landed inside the forbidden interval implied by the sign pattern."""
 

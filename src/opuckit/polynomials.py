@@ -12,15 +12,18 @@ coefficients alpha_n:
     with x = cos(theta/2), satisfying
         W_{n+1} = (x - c_{n+1} sqrt(1 - x^2)) W_n - d_{n+1} W_{n-1}.
 
-Coefficient arrays are built for any stored degree; the value recurrences
-rescale by powers of two every few steps with a shared exponent accumulator,
-so they stay finite where the coefficients overflow.
+Each family's coefficient levels 0..n come from one pass of its recurrence,
+so a table of every level costs what the last level does.  R_n and W_n values
+come from one loop that rescales by powers of two every few steps with a
+shared exponent accumulator, so they stay finite where the coefficients
+overflow.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +49,7 @@ __all__ = [
     "w_from_r_check",
 ]
 
-# rescale cadence/threshold for the value recurrences
+# rescale cadence/threshold of the value loop
 _RESCALE_EVERY = 8
 _RESCALE_LIMIT = 2.0**400
 
@@ -133,37 +136,34 @@ def _check_degree(pair: SequencePair, n: int) -> None:
         )
 
 
-def _rq_coeff_ladder(pair: SequencePair, n: int, first: np.ndarray, second: np.ndarray):
-    prev, cur = first, second
+def _rq_levels(pair: SequencePair, n: int, family: str):
+    """Coefficient arrays of R_k (family "R") or Q_k ("Q") for k = 0..n, one
+    pass of the three-term recurrence; level k is a new array.  Q_0 is [0]."""
+    _check_degree(pair, n)
+    is_r = family == "R"
+    prev = np.array([1.0 + 0.0j if is_r else 0.0j])
+    yield prev
+    if n:
+        c1 = pair.c[0]
+        cur = np.array([1.0 - 1j * c1, 1.0 + 1j * c1] if is_r else [2.0 * pair.d[0] + 0.0j])
+        yield cur
     for k in range(2, n + 1):
         ck, dk = pair.c[k - 1], pair.d[k - 1]
         shifted = np.concatenate([[0.0j], cur])
         nxt = (1.0 + 1j * ck) * shifted + (1.0 - 1j * ck) * np.concatenate([cur, [0.0j]])
         nxt[: len(prev) + 1] -= 4.0 * dk * np.concatenate([[0.0j], prev])
         prev, cur = cur, nxt
-    return cur if n >= 1 else prev
+        yield cur
 
 
 def r_coeffs(pair: SequencePair, n: int) -> PolyCoeffs:
     """Coefficients of R_n (degree n, self-inversive, leading prod(1 + i c_j))."""
-    _check_degree(pair, n)
-    r0 = np.array([1.0 + 0.0j])
-    if n == 0:
-        return PolyCoeffs(coeffs=r0, family="R", n=0)
-    c1 = pair.c[0]
-    r1 = np.array([1.0 - 1j * c1, 1.0 + 1j * c1])
-    return PolyCoeffs(coeffs=_rq_coeff_ladder(pair, n, r0, r1), family="R", n=n)
+    return PolyCoeffs(coeffs=deque(_rq_levels(pair, n, "R"), maxlen=1)[0], family="R", n=n)
 
 
 def q_coeffs(pair: SequencePair, n: int) -> PolyCoeffs:
     """Coefficients of Q_n (degree n - 1)."""
-    _check_degree(pair, n)
-    q0 = np.array([0.0j])
-    if n == 0:
-        return PolyCoeffs(coeffs=q0, family="Q", n=0)
-    q1 = np.array([2.0 * pair.d[0] + 0.0j])
-    coeffs = _rq_coeff_ladder(pair, n, q0, q1)
-    return PolyCoeffs(coeffs=coeffs[: max(1, n)], family="Q", n=n)
+    return PolyCoeffs(coeffs=deque(_rq_levels(pair, n, "Q"), maxlen=1)[0], family="Q", n=n)
 
 
 @dataclass(frozen=True)
@@ -185,46 +185,44 @@ def _common_rescale(arrays: list[np.ndarray], exp2: int) -> int:
     return exp2
 
 
+def _scaled_values(pair: SequencePair, n: int, t, step) -> tuple[np.ndarray, int]:
+    """v_n at the points t as (mantissa shaped like t, exponent exp2), the true
+    value being mantissa * 2**exp2: v_0 = 1, v_1 = a_1 and
+    v_k = a_k v_{k-1} - b_k v_{k-2} with (a_k, b_k) = step(t, c_k, d_k).  step
+    gets t at least 1-d, and every _RESCALE_EVERY steps the pair
+    (v_{k-1}, v_k) is scaled in place by one power of two."""
+    shape = np.shape(t)
+    t = np.atleast_1d(t)
+    v1 = np.ones_like(t)
+    if n:
+        v0, v1 = v1, step(t, pair.c[0], pair.d[0])[0]
+    exp2 = 0
+    for k, (c, d) in enumerate(zip(pair.c[1:n], pair.d[1:n]), start=2):
+        a, b = step(t, c, d)
+        v0, v1 = v1, a * v1 - b * v0
+        if k % _RESCALE_EVERY == 0:
+            exp2 = _common_rescale([v0, v1], exp2)
+    return v1.reshape(shape), exp2
+
+
 def rq_eval(pair: SequencePair, n: int, z) -> RQValues:
     """Evaluate R_n at z under a shared power-of-two exponent; InvalidParameters
     names the first non-finite z."""
     _check_degree(pair, n)
     z = _check_finite(z, "z", complex)
-    shape = z.shape
-    z = np.atleast_1d(z)
-    r0 = np.ones_like(z)
-    if n == 0:
-        return RQValues(r=r0.reshape(shape), exp2=0)
-    c1 = pair.c[0]
-    r1 = (1.0 + 1j * c1) * z + (1.0 - 1j * c1)
-    exp2 = 0
-    for k in range(2, n + 1):
-        ck, dk = pair.c[k - 1], pair.d[k - 1]
-        r0, r1 = r1, ((1.0 + 1j * ck) * z + (1.0 - 1j * ck)) * r1 - (4.0 * dk) * z * r0
-        if k % _RESCALE_EVERY == 0:
-            exp2 = _common_rescale([r0, r1], exp2)
-    return RQValues(r=r1.reshape(shape), exp2=exp2)
+    return RQValues(*_scaled_values(
+        pair, n, z, lambda z, c, d: ((1.0 + 1j * c) * z + (1.0 - 1j * c), (4.0 * d) * z)
+    ))
 
 
 def w_eval_scaled(pair: SequencePair, n: int, x) -> tuple[np.ndarray, int]:
     """W_n at x in [-1, 1] as (mantissa array, shared base-2 exponent)."""
     _check_degree(pair, n)
     x = np.asarray(x, dtype=float)
-    shape = x.shape
-    x = np.atleast_1d(x)
     if not np.all(np.abs(x) <= 1.0):
         raise InvalidParameters("w_eval requires x in [-1, 1]")
     s = np.sqrt((1.0 - x) * (1.0 + x))
-    w0 = np.ones_like(x)
-    if n == 0:
-        return w0.reshape(shape), 0
-    w1 = x - pair.c[0] * s
-    exp2 = 0
-    for k in range(2, n + 1):
-        w0, w1 = w1, (x - pair.c[k - 1] * s) * w1 - pair.d[k - 1] * w0
-        if k % _RESCALE_EVERY == 0:
-            exp2 = _common_rescale([w0, w1], exp2)
-    return w1.reshape(shape), exp2
+    return _scaled_values(pair, n, x, lambda x, c, d: (x - c * s, d))
 
 
 def w_eval(pair: SequencePair, n: int, x):

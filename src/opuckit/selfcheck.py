@@ -18,7 +18,7 @@ from .bijection import make_pair, pair_to_verblunsky, verblunsky_to_pair
 from .chain import ChainSequence, maximal_parameters, minimal_parameters
 from .errors import InternalInvariant
 from .measure import moments, quadrature, step_eval
-from .polynomials import r_coeffs, self_inversive_defect
+from .polynomials import _rq_levels, self_inversive_defect
 from .transforms import conjugate_pair, unfold_alternating
 from .zeros import _GAP_TOL, support_gap_check, w_zeros, zero_ladder
 
@@ -65,9 +65,7 @@ def check_bijection_round_trip() -> str:
 def check_self_inversive() -> str:
     rng = np.random.default_rng(12)
     pair = _random_pair(rng, 24)
-    defect = max(
-        self_inversive_defect(r_coeffs(pair, k).coeffs) for k in range(1, 25)
-    )
+    defect = max(self_inversive_defect(coeffs) for coeffs in _rq_levels(pair, 24, "R"))
     _require(defect < 1e-10, f"self-inversive defect {defect!r}")
     return f"defect {defect:.3e}"
 

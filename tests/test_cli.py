@@ -167,6 +167,23 @@ def test_poly_levels(capsys):
     assert doc["Q"][2] == [[1, 0], [1, 0]]
 
 
+def test_poly_levels_from_one_pass(capsys):
+    # 30 levels streamed by poly are the coefficients r_coeffs and q_coeffs
+    # give level by level: R_k has k + 1 entries, Q_k has k and Q_0 none
+    n = 30
+    rng = np.random.default_rng(30)
+    c, m = rng.uniform(-2.0, 2.0, n), np.concatenate([[0.0], rng.uniform(0.1, 0.9, n)])
+    doc = run_json(capsys, ["poly", "--input", json.dumps({"c": c.tolist(), "m": m.tolist()})])
+    pair = make_pair(c, m=m)
+    assert len(doc["R"]) == len(doc["Q"]) == n + 1 and doc["Q"][0] == []
+    for k in range(n + 1):
+        assert len(doc["R"][k]) == k + 1 and len(doc["Q"][k]) == k
+        r = opuckit.r_coeffs(pair, k).coeffs
+        q = opuckit.q_coeffs(pair, k).coeffs[:k]
+        assert doc["R"][k] == np.stack((r.real, r.imag), axis=1).tolist()
+        assert doc["Q"][k] == np.stack((q.real, q.imag), axis=1).tolist()
+
+
 def test_poly_csv(capsys, tmp_path):
     code, _, _ = run(
         capsys,
@@ -435,15 +452,17 @@ def test_options_that_do_nothing_are_refused(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_exit_3_degenerate_backward_map(capsys):
-    # 1 - Re(tau_1 alpha_1) rounds to 0, though |alpha_1| < 1
+def test_exit_2_alpha_within_rounding_of_circle(capsys):
+    # 1 - Re(tau_1 alpha_1) rounds to 0, though |alpha_1| < 1: alpha_1 has
+    # modulus 1 - 2^-53, so the input is rejected, naming index 1
     alpha = (
         "[[-0.0893891400312834, 0.5333836865171296], "
         "[0.6132609716766605, -0.7898803584203102]]"
     )
     code, _, err = run(capsys, ["alpha2pair", "--input", '{"alpha": %s}' % alpha])
-    assert code == 3
-    assert error_type(err) == "DegenerateDenominator"
+    assert code == 2
+    assert error_type(err) == "InvalidParameters"
+    assert "at index 1" in err
 
 
 def test_pair_commands_read_an_alpha_document(capsys):

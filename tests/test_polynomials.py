@@ -142,6 +142,22 @@ def test_w_eval_scaled_shared_exponent():
     assert abs(full - float(val[0]) * 2.0**exp2) <= 1e-9 * abs(full)
 
 
+@pytest.mark.parametrize(
+    "theta", [2.0 * math.acos(-0.9), [0.4, 1.9, 2.0 * math.acos(-0.9), 5.3]], ids=["scalar", "array"]
+)
+def test_rq_eval_shared_exponent(theta):
+    # the pair of the test above: rq_eval rescales too, and its
+    # 2^{exp2 - n} e^{-i n theta/2} R_n is W_n(cos(theta/2)) to 64 n eps
+    n = 500
+    pair = make_pair([3.0] * n, m=[0.0] + [0.5] * n)
+    vals = rq_eval(pair, n, np.exp(1j * np.asarray(theta)))
+    assert vals.exp2 > 0 and np.shape(vals.r) == np.shape(theta)
+    circle = vals.r * np.exp(-0.5j * n * np.asarray(theta)) * math.ldexp(1.0, vals.exp2 - n)
+    wv, wexp = w_eval_scaled(pair, n, np.cos(0.5 * np.asarray(theta)))
+    w = wv * math.ldexp(1.0, wexp)
+    assert np.all(np.abs(circle - w) <= 64 * n * np.finfo(float).eps * np.abs(w))
+
+
 def test_szego_lebesgue():
     z = np.exp(1j * np.linspace(0.3, 5.9, 7))
     st = szego_eval([0.0, 0.0, 0.0], z)
