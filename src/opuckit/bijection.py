@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSequence, _check_finite
-from .errors import InvalidParameters
+from .chain import ChainSequence
+from .errors import InvalidParameters, _check_disc, _check_finite
 
 __all__ = [
     "SequencePair",
@@ -169,21 +169,10 @@ def pair_to_verblunsky(pair: SequencePair) -> VerblunskySequence:
     return VerblunskySequence(alpha=tuple(alpha), tau=tuple(tau))
 
 
-def _alpha_in_disc(alpha) -> np.ndarray:
-    """alpha as a flat complex array; InvalidParameters unless every
-    |alpha_k| < 1 (NaN included)."""
-    a = np.asarray(alpha, dtype=complex).reshape(-1)
-    inside = np.abs(a) < 1.0
-    if not inside.all():
-        k = int(np.argmin(inside))
-        raise InvalidParameters(f"alpha[{k}] = {complex(a[k])!r} must have modulus < 1")
-    return a
-
-
 def verblunsky_to_pair(alpha) -> SequencePair:
     """Backward direction; recovers (c, m) and rebuilds d from m.  An alpha_k
     within rounding of the unit circle is InvalidParameters."""
-    a = _alpha_in_disc(alpha)
+    a = _check_disc(alpha)
     u = []  # u_n = tau_{n-1} alpha_{n-1}
     t = 1.0 + 0.0j
     for n, an in enumerate(a.tolist(), start=1):

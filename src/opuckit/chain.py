@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameters, NotAChainSequence, NumericsError
+from .errors import InvalidParameters, NotAChainSequence, NumericsError, _check_count, _check_finite
 
 __all__ = [
     "ChainSequence",
@@ -33,19 +33,6 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-
-
-def _check_finite(values, name: str, dtype=float) -> np.ndarray:
-    """values as an array of dtype; InvalidParameters naming the first
-    non-finite entry (NaN included), by its flat index unless values is a
-    scalar."""
-    a = np.asarray(values, dtype=dtype)
-    finite = np.isfinite(a).ravel()
-    if not finite.all():
-        k = int(np.argmin(finite))
-        entry = f"{name}[{k}]" if a.ndim else name
-        raise InvalidParameters(f"{entry} = {a.ravel()[k].item()!r} is not finite")
-    return a
 
 
 def minimal_parameters(d) -> tuple[float, ...]:
@@ -122,11 +109,8 @@ class ChainSequence:
 
     def _check_tail(self):
         if self.tail_period is not None:
-            p = self.tail_period
-            if not (isinstance(p, int) and 1 <= p <= len(self.d)):
-                raise InvalidParameters(
-                    f"tail_period = {p!r} must be an integer in [1, {len(self.d)}]"
-                )
+            tail = _check_count(self.tail_period, "tail_period", 1, len(self.d))
+            object.__setattr__(self, "tail_period", tail)
 
     @classmethod
     def from_d(cls, d, tail_period: int | None = None) -> "ChainSequence":

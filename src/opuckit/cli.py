@@ -30,7 +30,7 @@ from . import (
     zeros,
 )
 from .bijection import make_pair, pair_to_verblunsky, verblunsky_to_pair
-from .errors import InputError, InvalidParameters, OpucError
+from .errors import InputError, InvalidParameters, OpucError, _check_count
 from .serialize import (
     complex_pairs,
     dumps,
@@ -63,16 +63,11 @@ def _load_alpha(args, p: int | None = None) -> tuple[complex, ...]:
     alpha = payload if kind == "alpha" else pair_to_verblunsky(payload).alpha
     if p is None:
         return alpha
-    if not 1 <= p <= len(alpha):
-        raise InvalidParameters(f"--p must be in [1, {len(alpha)}]")
-    return alpha[:p]
+    return alpha[: _check_count(p, "--p", 1, len(alpha))]
 
 
 def _resolve_n(args, pair) -> int:
-    n = args.n if args.n is not None else len(pair)
-    if n < 1:
-        raise InvalidParameters(f"n = {n} must be >= 1")
-    return n
+    return _check_count(args.n if args.n is not None else len(pair), "--n", 1, len(pair))
 
 
 def _pure_points(points) -> list[dict]:
@@ -137,8 +132,7 @@ def cmd_quadrature(args):
         "weight_sum": float(np.sum(meas.weights)),
     }
     if args.moments is not None:
-        if args.moments < 0:
-            raise InvalidParameters("--moments must be >= 0")
+        _check_count(args.moments, "--moments", 0)
         payload["moments"] = complex_pairs(measure.moments(meas, args.moments))
     rows = [(j, th, wt) for j, (th, wt) in enumerate(zip(meas.theta, meas.weights), start=1)]
     return payload, {"quadrature.csv": ("j,theta,weight", rows)}
@@ -147,8 +141,7 @@ def cmd_quadrature(args):
 def cmd_cdf(args):
     pair = _load_pair(args)
     n = _resolve_n(args, pair)
-    if args.grid < 2:
-        raise InvalidParameters("--grid must be >= 2")
+    _check_count(args.grid, "--grid", 2)
     meas = measure.quadrature(pair, n)
     theta = np.linspace(0.0, TWO_PI, args.grid + 1)
     psi = measure.step_eval(meas, theta)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bijection import SequencePair
-from .errors import InternalInvariant, InvalidParameters, NegativeWeight
+from .errors import InternalInvariant, InvalidParameters, NegativeWeight, _check_count, _check_finite
 from .zeros import _levels
 
 __all__ = ["DiscreteMeasure", "quadrature", "moments", "step_eval"]
@@ -45,6 +45,7 @@ class DiscreteMeasure:
 def quadrature(pair: SequencePair, n: int) -> DiscreteMeasure:
     """Nodes and weights of psi_n; NegativeWeight for a weight below 0 (or NaN),
     InternalInvariant for weights that do not sum to 1 within 1e-10."""
+    n = _check_count(n, "n", 1, len(pair))
     theta, _, lam, one = _levels(pair, n, n, weights=True)
     theta = np.concatenate([[0.0], theta])
     lam = np.concatenate([one, lam])
@@ -59,15 +60,15 @@ def quadrature(pair: SequencePair, n: int) -> DiscreteMeasure:
 
 def moments(measure: DiscreteMeasure, k_max: int) -> np.ndarray:
     """mu_k = integral of conj(z)^k = sum_j lambda_j e^{-i k theta_j}, k = 0..k_max."""
-    if not (isinstance(k_max, (int, np.integer)) and k_max >= 0):
-        raise InvalidParameters(f"k_max = {k_max!r} must be an integer >= 0")
+    k_max = _check_count(k_max, "k_max", 0)
     k = np.arange(k_max + 1)
     return np.exp(-1j * np.outer(k, measure.theta)) @ measure.weights
 
 
 def step_eval(measure: DiscreteMeasure, theta):
-    """Evaluate the cumulative step function psi_n on [0, 2 pi]."""
-    t = np.asarray(theta, dtype=float)
+    """Evaluate the cumulative step function psi_n on [0, 2 pi]; InvalidParameters
+    names the first non-finite theta."""
+    t = _check_finite(theta, "theta")
     scalar = t.shape == ()
     t = np.atleast_1d(t)
     if not np.all((t >= 0.0) & (t <= 2.0 * math.pi)):

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bijection import SequencePair, make_pair
-from .chain import _check_finite
-from .errors import InvalidParameters
+from .errors import InvalidParameters, _check_count, _check_finite
 
 __all__ = [
     "PeriodTwoParams",
@@ -76,9 +75,8 @@ def family_alpha(params: PeriodTwoParams) -> tuple[complex, complex]:
 
 
 def family_pair(params: PeriodTwoParams, length: int) -> SequencePair:
-    """The (c, m) pair of the family truncated to the given length."""
-    if length < 1:
-        raise InvalidParameters("length must be >= 1")
+    """The (c, m) pair of the family with tail_period = 2, cut to length >= 2."""
+    length = _check_count(length, "length", 2)
     c = tuple(((-1.0) ** n) * params.c for n in range(1, length + 1))
     m1 = (1.0 - params.b1) / 2.0
     m2 = (1.0 - params.b2) / 2.0

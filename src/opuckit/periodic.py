@@ -51,7 +51,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bijection import RENORM_EVERY, SequencePair
-from .chain import _check_finite
 from .cmv import cmv_matrix, floquet_matrix
 from .errors import (
     DenominatorVanished,
@@ -62,6 +61,9 @@ from .errors import (
     NonRealDiscriminant,
     NotACandidate,
     OffBand,
+    _check_count,
+    _check_disc,
+    _check_finite,
 )
 
 __all__ = [
@@ -94,12 +96,10 @@ _PARALLEL_TOL = 1e-9
 
 
 def _check_alpha(alpha) -> tuple[complex, ...]:
-    alpha = tuple(complex(a) for a in alpha)
-    if len(alpha) == 0:
+    """alpha in the disc (see errors._check_disc) as a nonempty tuple."""
+    alpha = tuple(_check_disc(alpha).tolist())
+    if not alpha:
         raise InvalidParameters("need at least one reflection coefficient")
-    for k, a in enumerate(alpha):
-        if not abs(a) < 1.0:
-            raise InvalidParameters(f"alpha[{k}] = {a!r} must have modulus < 1")
     return alpha
 
 
@@ -255,7 +255,7 @@ def _edges(alpha) -> tuple[np.ndarray, np.ndarray]:
         theta = np.mod(np.angle(z), TWO_PI)
     else:
         theta = np.mod(np.angle(np.linalg.eigvals(floquet_matrix(alpha + alpha, 1.0))), TWO_PI)
-        sign = np.where(discriminant(alpha, theta) > 0.0, 1, -1)
+        sign = np.where(_floquet_entries(alpha, theta)[0] > 0.0, 1, -1)
     order = np.argsort(theta, kind="stable")
     return theta[order], sign[order]
 
@@ -275,7 +275,10 @@ def band_structure(alpha) -> PeriodicSpectrum:
     eigensolver's backward error 64 p eps: the Floquet matrices are normal,
     so a touching point is an exact double eigenvalue.
     """
-    alpha = _check_alpha(alpha)
+    return _bands(_check_alpha(alpha))
+
+
+def _bands(alpha) -> PeriodicSpectrum:
     p = len(alpha)
     theta, sign = _edges(alpha)
     ends = np.append(theta, theta[0] + TWO_PI)
@@ -428,8 +431,7 @@ def mass_series(alpha, w: complex, n_terms: int) -> float:
     """
     alpha = _check_alpha(alpha)
     w = complex(_check_finite(w, "w", complex))
-    if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
-        raise InvalidParameters(f"n_terms = {n_terms!r} must be an integer >= 1")
+    n_terms = _check_count(n_terms, "n_terms", 1)
     p = len(alpha)
     t = 1.0 + 0.0j
     lam = 0.0
@@ -635,13 +637,16 @@ def full_spectrum(alpha) -> PeriodicSpectrum:
     """Bands, gaps, candidates and confirmed pure points in one report; each
     point carries its mass's error bound, and point_error sums the bound over
     all p candidates, since mixed eigenvectors move mass onto clipped ones."""
-    alpha = _check_alpha(alpha)
+    return _spectrum(_check_alpha(alpha))
+
+
+def _spectrum(alpha) -> PeriodicSpectrum:
     thetas, masses, errors = _candidates(alpha)
     zs = np.exp(1j * thetas).tolist()
     thetas, errors = thetas.tolist(), errors.tolist()
     points = zip(zs, thetas, masses.tolist(), errors)
     return replace(
-        band_structure(alpha),
+        _bands(alpha),
         candidates=tuple(zs),
         candidate_thetas=tuple(thetas),
         pure_points=tuple(PurePoint(z, t, m, e) for z, t, m, e in points if m > 0.0),
@@ -658,7 +663,7 @@ def normalization_report(alpha, spectrum: PeriodicSpectrum | None = None) -> dic
     """
     alpha = _check_alpha(alpha)
     if spectrum is None or not spectrum.candidates:
-        spectrum = full_spectrum(alpha)
+        spectrum = _spectrum(alpha)
     ac, ac_err = (x / TWO_PI for x in _ac_integral(alpha, spectrum))
     point = sum(pp.mass for pp in spectrum.pure_points)
     return {"ac_mass": ac, "point_mass": point, "total": ac + point, "ac_error": ac_err,
@@ -692,8 +697,7 @@ def is_periodic_pair(pair: SequencePair, p: int) -> PeriodicityReport:
     unconstrained and only the modulus condition applies.
     """
     N = len(pair)
-    if not (isinstance(p, (int, np.integer)) and 1 <= p <= N - 1):
-        raise InvalidParameters(f"need an integer 1 <= p <= {N - 1} to check one index, got {p!r}")
+    p = _check_count(p, "p", 1, N - 1)
     c = np.asarray(pair.c, dtype=float)
     phase = np.angle((1.0 + 1j * c) / (1.0 - 1j * c))
     # window n sums phase[n..n+p-1]; a cumsum difference would lose about

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bijection import SequencePair
-from .chain import _check_finite
-from .errors import InvalidParameters, NumericsError
+from .errors import InvalidParameters, NumericsError, _check_count, _check_disc, _check_finite
 
 __all__ = [
     "SzegoState",
@@ -64,9 +63,7 @@ def kappa_from_alpha(alpha) -> float:
     the largest float.
     """
     acc = 0.0
-    for k, a in enumerate(alpha):
-        if not abs(a) < 1.0:
-            raise InvalidParameters(f"alpha[{k}] = {a!r} must have modulus < 1")
+    for k, a in enumerate(_check_disc(alpha).tolist()):
         acc -= 0.5 * math.log1p(-abs(a) ** 2)
         if acc > _LOG_FLOAT_MAX:
             raise NumericsError(
@@ -99,7 +96,9 @@ def szego_eval(alpha, z) -> SzegoState:
 
 
 def szego_coeffs(alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending coefficient arrays of monic phi_n and phi_n*."""
+    """Ascending coefficient arrays of monic phi_n and phi_n*; InvalidParameters
+    names the first non-finite alpha."""
+    alpha = _check_finite(alpha, "alpha", complex)
     phi = np.array([1.0 + 0.0j])
     star = np.array([1.0 + 0.0j])
     for a in alpha:
@@ -127,19 +126,10 @@ def self_inversive_defect(coeffs: np.ndarray) -> float:
     return float(np.max(np.abs(coeffs - np.conj(coeffs[::-1]))))
 
 
-def _check_degree(pair: SequencePair, n: int) -> None:
-    if n < 0:
-        raise InvalidParameters(f"degree n = {n} must be >= 0")
-    if n > len(pair):
-        raise InvalidParameters(
-            f"degree n = {n} needs {n} pair entries, only {len(pair)} stored"
-        )
-
-
 def _rq_levels(pair: SequencePair, n: int, family: str):
     """Coefficient arrays of R_k (family "R") or Q_k ("Q") for k = 0..n, one
-    pass of the three-term recurrence; level k is a new array.  Q_0 is [0]."""
-    _check_degree(pair, n)
+    pass of the three-term recurrence; level k is a new array.  Q_0 is [0].
+    The caller checks n."""
     is_r = family == "R"
     prev = np.array([1.0 + 0.0j if is_r else 0.0j])
     yield prev
@@ -158,11 +148,13 @@ def _rq_levels(pair: SequencePair, n: int, family: str):
 
 def r_coeffs(pair: SequencePair, n: int) -> PolyCoeffs:
     """Coefficients of R_n (degree n, self-inversive, leading prod(1 + i c_j))."""
+    n = _check_count(n, "n", 0, len(pair))
     return PolyCoeffs(coeffs=deque(_rq_levels(pair, n, "R"), maxlen=1)[0], family="R", n=n)
 
 
 def q_coeffs(pair: SequencePair, n: int) -> PolyCoeffs:
     """Coefficients of Q_n (degree n - 1)."""
+    n = _check_count(n, "n", 0, len(pair))
     return PolyCoeffs(coeffs=deque(_rq_levels(pair, n, "Q"), maxlen=1)[0], family="Q", n=n)
 
 
@@ -208,7 +200,7 @@ def _scaled_values(pair: SequencePair, n: int, t, step) -> tuple[np.ndarray, int
 def rq_eval(pair: SequencePair, n: int, z) -> RQValues:
     """Evaluate R_n at z under a shared power-of-two exponent; InvalidParameters
     names the first non-finite z."""
-    _check_degree(pair, n)
+    n = _check_count(n, "n", 0, len(pair))
     z = _check_finite(z, "z", complex)
     return RQValues(*_scaled_values(
         pair, n, z, lambda z, c, d: ((1.0 + 1j * c) * z + (1.0 - 1j * c), (4.0 * d) * z)
@@ -216,9 +208,10 @@ def rq_eval(pair: SequencePair, n: int, z) -> RQValues:
 
 
 def w_eval_scaled(pair: SequencePair, n: int, x) -> tuple[np.ndarray, int]:
-    """W_n at x in [-1, 1] as (mantissa array, shared base-2 exponent)."""
-    _check_degree(pair, n)
-    x = np.asarray(x, dtype=float)
+    """W_n at x in [-1, 1] as (mantissa array, shared base-2 exponent);
+    InvalidParameters names the first non-finite x."""
+    n = _check_count(n, "n", 0, len(pair))
+    x = _check_finite(x, "x")
     if not np.all(np.abs(x) <= 1.0):
         raise InvalidParameters("w_eval requires x in [-1, 1]")
     s = np.sqrt((1.0 - x) * (1.0 + x))

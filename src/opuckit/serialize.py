@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .bijection import SequencePair, make_pair
-from .errors import InternalInvariant, InvalidParameters
+from .errors import InternalInvariant, InvalidParameters, _check_count
 
 __all__ = [
     "format_float",
@@ -229,8 +229,8 @@ def load_sequences(doc: dict):
     has_d = "d" in doc
     has_alpha = "alpha" in doc
     tail = doc.get("tail_period")
-    if tail is not None and (isinstance(tail, bool) or not isinstance(tail, int) or tail < 1):
-        raise InvalidParameters(f"tail_period = {tail!r} must be a positive integer")
+    if tail is not None:
+        tail = _check_count(tail, "tail_period", 1)
 
     if has_alpha:
         if has_c or has_m or has_d:

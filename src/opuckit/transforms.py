@@ -18,12 +18,11 @@ import numpy as np
 from .bijection import (
     SequencePair,
     VerblunskySequence,
-    _alpha_in_disc,
     make_pair,
     pair_to_verblunsky,
     running_product,
 )
-from .errors import HypothesisViolated, InvalidParameters
+from .errors import HypothesisViolated, InvalidParameters, _check_disc
 
 __all__ = ["UnfoldingData", "conjugate_pair", "rotate_alpha", "unfold_alternating"]
 
@@ -43,7 +42,7 @@ def rotate_alpha(alpha, beta: complex) -> tuple[complex, ...]:
         raise InvalidParameters(f"beta = {beta!r} must be unimodular")
     if isinstance(alpha, VerblunskySequence):
         alpha = alpha.alpha
-    a = _alpha_in_disc(alpha)
+    a = _check_disc(alpha)
     return tuple((running_product(np.full(a.size, beta))[1:] * a).tolist())
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bijection import SequencePair, _alpha_tau
 from .cmv import cayley_angles, cayley_level, cmv_matrix, nearest_one
-from .errors import GapViolated, HypothesisViolated, InternalInvariant, InvalidParameters
+from .errors import GapViolated, HypothesisViolated, InternalInvariant, _check_count
 
 __all__ = ["ZeroSet", "SupportGapReport", "zero_ladder", "w_zeros", "support_gap_check"]
 
@@ -61,6 +61,7 @@ def zero_ladder(pair: SequencePair, n: int) -> list[ZeroSet]:
     consecutive levels fail to interlace by more than 64 (k+1) eps; equality
     is allowed, since levels can share a zero to rounding.
     """
+    n = _check_count(n, "n", 1, len(pair))
     theta, x = _levels(pair, n, 1)
     _check_interlacing(x, n)
     cuts = np.cumsum(np.arange(1, n))
@@ -72,13 +73,9 @@ def zero_ladder(pair: SequencePair, n: int) -> list[ZeroSet]:
 
 def w_zeros(pair: SequencePair, n: int) -> ZeroSet:
     """Level n of the ladder alone, without the levels below it."""
+    n = _check_count(n, "n", 1, len(pair))
     theta, x = _levels(pair, n, n)
     return ZeroSet(n=n, x=x, theta=theta)
-
-
-def _check_depth(pair: SequencePair, n: int) -> None:
-    if not 1 <= n <= len(pair):
-        raise InvalidParameters(f"need 1 <= n <= {len(pair)}, got {n}")
 
 
 def _levels(pair: SequencePair, n: int, first: int, weights: bool = False):
@@ -88,9 +85,8 @@ def _levels(pair: SequencePair, n: int, first: int, weights: bool = False):
 
     Each level is one cayley_level step on the slices of a single CMV matrix;
     the angles, the sort and the drop of the eigenvalue nearest z = 1 then
-    run once over all levels.
+    run once over all levels.  The caller checks n.
     """
-    _check_depth(pair, n)
     alpha, tau = _alpha_tau(pair.c[:n], pair.m[1 : n + 1])
     u = cmv_matrix(alpha, tau[n].conjugate())
     poles = _poles(pair, n)[first - 1 :]
@@ -197,6 +193,7 @@ def support_gap_check(pair: SequencePair, n: int) -> SupportGapReport:
     every level to the adjacent float: the margin and the arcs.  Each costs
     O(n) per point.
     """
+    n = _check_count(n, "n", 1, len(pair))
     tilde = [(-1.0) ** k * ck for k, ck in enumerate(pair.c[:n], start=1)]
     if all(t == 0.0 for t in tilde):
         c_floor = 0.0
@@ -211,7 +208,6 @@ def support_gap_check(pair: SequencePair, n: int) -> SupportGapReport:
         )
     g = c_floor / math.sqrt(1.0 + c_floor * c_floor)
     theta_c = math.acos((c_floor**2 - 1.0) / (c_floor**2 + 1.0))
-    _check_depth(pair, n)
     c = np.asarray(pair.c[:n], dtype=float)
     d = pair.d[:n]
     g_tol = g - _GAP_TOL

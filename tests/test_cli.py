@@ -437,6 +437,23 @@ def test_exit_2_option_checks(capsys, argv, kind):
 
 
 @pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["zeros", "--input", PAIR_TWO, "--n", "3"], "--n"),
+        (["periodic", "--input", ALPHA_THREE, "--p", "4"], "--p"),
+        (["cdf", "--input", PAIR_TWO, "--grid", "1"], "--grid"),
+        (["quadrature", "--input", PAIR_TWO, "--moments", "-1"], "--moments"),
+    ],
+)
+def test_exit_2_count_option_names_the_option(capsys, argv, option):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidParameters"
+    assert error["message"].startswith(f"{option} must be an integer")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["check", "--input", "x"],

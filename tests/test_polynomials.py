@@ -13,8 +13,10 @@ from opuckit import (
     make_pair,
     pair_to_verblunsky,
     q_coeffs,
+    quadrature,
     r_coeffs,
     rq_eval,
+    step_eval,
     szego_coeffs,
     szego_eval,
     tau_from_c,
@@ -248,10 +250,16 @@ def test_degree_validation(rng):
         (lambda bad: tau_from_c([0.1, bad]), r"c\[1\]"),
         (lambda bad: rq_eval(make_pair([0.0], d=[0.5]), 1, [0.5, bad]), r"z\[1\]"),
         (lambda bad: szego_eval([0.2], bad), "z"),
+        (lambda bad: szego_coeffs([0.2, bad]), r"alpha\[1\]"),
+        (lambda bad: w_eval(make_pair([0.0], d=[0.5]), 1, [0.5, bad]), r"x\[1\]"),
+        (lambda bad: step_eval(quadrature(make_pair([0.0], d=[0.5]), 1), bad), "theta"),
         (lambda bad: family_weight(PeriodTwoParams(1.0, 0.3, 0.5), bad), "theta"),
         (lambda bad: family_discriminant(PeriodTwoParams(1.0, 0.3, 0.5), [1.0, bad]), r"theta\[1\]"),
     ],
-    ids=["tau_from_c", "rq_eval", "szego_eval", "family_weight", "family_discriminant"],
+    ids=[
+        "tau_from_c", "rq_eval", "szego_eval", "szego_coeffs", "w_eval", "step_eval",
+        "family_weight", "family_discriminant",
+    ],
 )
 def test_non_finite_input_names_the_entry(call, entry, bad):
     with pytest.raises(InvalidParameters, match=rf"^{entry} = \(?(nan|inf)"):
