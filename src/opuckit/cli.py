@@ -74,14 +74,10 @@ def _pure_points(points) -> list[dict]:
     return [{"theta": pp.theta, "mass": pp.mass, "w": [pp.w.real, pp.w.imag]} for pp in points]
 
 
-def _normalization(report: dict) -> dict:
-    return {key: float(value) for key, value in report.items()}
-
-
 # ------------------ subcommands ------------------ #
 #
 # Each returns (payload, tables): the JSON report after its "meta" record, and
-# {file name: (CSV header, rows)}.
+# {file name: {column name: 1-D array}}, the library's arrays as they come.
 
 
 def cmd_pair2alpha(args):
@@ -111,14 +107,15 @@ def cmd_zeros(args):
     pair = _load_pair(args)
     n = _resolve_n(args, pair)
     ladder = zeros.zero_ladder(pair, n)
-    final = ladder[-1]
-    rows = [
-        (zs.n, j, x, th)
-        for zs in ladder
-        for j, (x, th) in enumerate(zip(zs.x, zs.theta), start=1)
-    ]
-    payload = {"n": n, "x": list(final.x), "theta": list(final.theta)}
-    return payload, {"zeros.csv": ("level,j,x,theta", rows)}
+    level = np.repeat(np.arange(1, n + 1), np.arange(1, n + 1))  # level k holds k zeros
+    columns = {
+        "level": level,
+        "j": np.arange(1, level.size + 1) - level * (level - 1) // 2,
+        "x": np.concatenate([zs.x for zs in ladder]),
+        "theta": np.concatenate([zs.theta for zs in ladder]),
+    }
+    payload = {"n": n, "x": ladder[-1].x, "theta": ladder[-1].theta}
+    return payload, {"zeros.csv": columns}
 
 
 def cmd_quadrature(args):
@@ -127,15 +124,15 @@ def cmd_quadrature(args):
     meas = measure.quadrature(pair, n)
     payload = {
         "n": n,
-        "theta": list(meas.theta),
-        "weights": list(meas.weights),
+        "theta": meas.theta,
+        "weights": meas.weights,
         "weight_sum": float(np.sum(meas.weights)),
     }
     if args.moments is not None:
         _check_count(args.moments, "--moments", 0)
         payload["moments"] = complex_pairs(measure.moments(meas, args.moments))
-    rows = [(j, th, wt) for j, (th, wt) in enumerate(zip(meas.theta, meas.weights), start=1)]
-    return payload, {"quadrature.csv": ("j,theta,weight", rows)}
+    columns = {"j": np.arange(1, n + 2), "theta": meas.theta, "weight": meas.weights}
+    return payload, {"quadrature.csv": columns}
 
 
 def cmd_cdf(args):
@@ -145,12 +142,7 @@ def cmd_cdf(args):
     meas = measure.quadrature(pair, n)
     theta = np.linspace(0.0, TWO_PI, args.grid + 1)
     psi = measure.step_eval(meas, theta)
-    payload = {
-        "n": n,
-        "theta": [float(t) for t in theta],
-        "psi": [float(v) for v in psi],
-    }
-    return payload, {"cdf.csv": ("theta,psi", list(zip(theta, psi)))}
+    return {"n": n, "theta": theta, "psi": psi}, {"cdf.csv": {"theta": theta, "psi": psi}}
 
 
 def cmd_poly(args):
@@ -163,12 +155,14 @@ def cmd_poly(args):
             complex_pairs(coeffs if name == "R" else coeffs[:k])
             for k, coeffs in enumerate(polynomials._rq_levels(pair, n, name))
         ]
-        rows = [
-            (lvl, k, re, im)
-            for lvl, coeffs in enumerate(levels[name])
-            for k, (re, im) in enumerate(coeffs)
-        ]
-        tables[f"poly_{name.lower()}.csv"] = ("n,k,re,im", rows)
+        sizes = [len(coeffs) for coeffs in levels[name]]
+        re, im = np.concatenate(levels[name]).T
+        tables[f"poly_{name.lower()}.csv"] = {
+            "n": np.repeat(np.arange(n + 1), sizes),
+            "k": np.concatenate([np.arange(size) for size in sizes]),
+            "re": re,
+            "im": im,
+        }
     return {"n": n, **levels}, tables
 
 
@@ -178,23 +172,24 @@ def cmd_periodic(args):
     norm = periodic.normalization_report(alpha, spec)
     payload = {
         "p": spec.p,
-        "plus_solutions": list(spec.plus_solutions),
-        "minus_solutions": list(spec.minus_solutions),
+        "plus_solutions": spec.plus_solutions,
+        "minus_solutions": spec.minus_solutions,
         "bands": [
             {"lo": b.lo, "hi": b.hi, "lo_sign": b.lo_sign, "hi_sign": b.hi_sign}
             for b in spec.bands
         ],
         "gaps": [{"lo": g.lo, "hi": g.hi, "closed": g.closed} for g in spec.gaps],
         "candidates": complex_pairs(spec.candidates),
-        "candidate_thetas": list(spec.candidate_thetas),
+        "candidate_thetas": spec.candidate_thetas,
         "pure_points": _pure_points(spec.pure_points),
-        "normalization": _normalization(norm),
+        "normalization": norm,
     }
     return payload, {}
 
 
 def cmd_weight(args):
     alpha = _load_alpha(args, args.p)
+    _check_count(args.grid, "--grid", 1)
     if args.theta is not None:
         try:
             thetas = [float(s) for s in args.theta.split(",") if s.strip()]
@@ -202,7 +197,8 @@ def cmd_weight(args):
             raise InvalidParameters(f"--theta must be comma-separated reals: {exc}")
         if not thetas:
             raise InvalidParameters("--theta produced no angles")
-        rows = sorted(zip(thetas, periodic.ac_weight(alpha, np.asarray(thetas))))
+        theta = np.asarray(thetas)
+        w = periodic.ac_weight(alpha, theta)
     else:
         # midpoint samples of every band, less those that rounding puts off
         # the band (a band can be thinner than rounding), where ac_weight
@@ -215,13 +211,10 @@ def cmd_weight(args):
             samples.append(b.lo + (b.hi - b.lo) * (np.arange(nb) + 0.5) / nb)
         ts = np.concatenate(samples)
         ts = ts[np.abs(periodic.discriminant(alpha, ts)) < 2.0 - periodic._EDGE_TOL]
-        rows = sorted(zip(np.mod(ts, TWO_PI), periodic.ac_weight(alpha, ts)))
-    payload = {
-        "p": len(alpha),
-        "theta": [float(t) for t, _ in rows],
-        "w": [float(v) for _, v in rows],
-    }
-    return payload, {"weight.csv": ("theta,w", rows)}
+        theta, w = np.mod(ts, TWO_PI), periodic.ac_weight(alpha, ts)
+    order = np.lexsort((w, theta))  # by theta, then by w
+    columns = {"theta": theta[order], "w": w[order]}
+    return {"p": len(alpha), **columns}, {"weight.csv": columns}
 
 
 def cmd_transform(args):
@@ -229,9 +222,9 @@ def cmd_transform(args):
         out = transforms.conjugate_pair(_load_pair(args))
         payload = {
             "op": "conjugate",
-            "c": list(out.c),
-            "m": list(out.m),
-            "d": list(out.d),
+            "c": out.c,
+            "m": out.m,
+            "d": out.d,
         }
         return payload, {}
     if args.op == "rotate":
@@ -256,8 +249,8 @@ def cmd_transform(args):
         "op": "unfold",
         "beta": complex_pairs(data.beta),
         "alpha_tilde": complex_pairs(data.alpha_tilde),
-        "c_tilde": list(data.pair_tilde.c),
-        "m_tilde": list(data.pair_tilde.m),
+        "c_tilde": data.pair_tilde.c,
+        "m_tilde": data.pair_tilde.m,
     }
     return payload, {}
 
@@ -268,9 +261,9 @@ def cmd_demo(args):
     payload = {
         "params": {"c": params.c, "b1": params.b1, "b2": params.b2},
         "alpha": complex_pairs(alpha),
-        "band_edges": [float(e) for e in period_two.family_band_edges(params)],
+        "band_edges": period_two.family_band_edges(params),
         "pure_points": _pure_points(period_two.family_masses(params)),
-        "normalization": _normalization(periodic.normalization_report(alpha)),
+        "normalization": periodic.normalization_report(alpha),
     }
     return payload, {}
 
@@ -372,8 +365,8 @@ def main(argv=None) -> int:
         if args.format != "json":
             out = Path(args.outdir)
             out.mkdir(parents=True, exist_ok=True)
-            for name, (header, rows) in tables.items():
-                write_csv(out / name, header, rows)
+            for name, columns in tables.items():
+                write_csv(out / name, columns)
     except OpucError as exc:
         sys.stderr.write(
             dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n"

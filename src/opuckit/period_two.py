@@ -47,7 +47,7 @@ class PeriodTwoParams:
     def __post_init__(self):
         for name in ("c", "b1", "b2"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise InvalidParameters(f"{name} = {v!r} must be a finite real")
         if not (abs(self.b1) < 1.0 and abs(self.b2) < 1.0):
             raise InvalidParameters(

@@ -665,7 +665,7 @@ def normalization_report(alpha, spectrum: PeriodicSpectrum | None = None) -> dic
     if spectrum is None or not spectrum.candidates:
         spectrum = _spectrum(alpha)
     ac, ac_err = (x / TWO_PI for x in _ac_integral(alpha, spectrum))
-    point = sum(pp.mass for pp in spectrum.pure_points)
+    point = sum((pp.mass for pp in spectrum.pure_points), 0.0)
     return {"ac_mass": ac, "point_mass": point, "total": ac + point, "ac_error": ac_err,
             "point_error": spectrum.point_error}
 

@@ -6,9 +6,10 @@ float array, one ``np.isfinite`` pass rejects NaN and infinities
 value is rendered by '%.17g' ('.' as the decimal separator).  A float array,
 or a list or tuple holding only floats, is written by a single '%' of one
 template over all its values, nested like the array's shape, so an (n, 2)
-array reads [[re, im], ...].  A CSV table takes the array route too: each
-float column passes the same check as one array, and the table is rendered
-by a single '%' of a row template ('%d' for a column of ints alone).
+array reads [[re, im], ...].  A CSV table is a dict of named 1-D columns,
+and its header is their names.  It takes the array route too: each float
+column passes the same check as one array, and the table is rendered by a
+single '%' of a row template ('%d' for an integer column).
 Scalars, ints, strings, dicts and mixed lists take the recursive route,
 whose floats go through the same rule one at a time.  Output has LF line
 endings, and equal floats always give equal bytes.
@@ -123,25 +124,28 @@ def complex_pairs(values) -> np.ndarray:
     return np.stack((z.real, z.imag), axis=1)
 
 
-def write_csv(path, header: str, rows) -> None:
-    """Rows under a fixed header, LF endings.  A column of ints alone is
-    written by '%d', any other column by the float route; the table is
-    rendered by one '%' of a row template repeated once per row."""
-    rows = list(rows)
-    width = header.count(",") + 1
-    if set(map(len, rows)) - {width}:
-        raise InternalInvariant(f"CSV row without the {width} cells of {header!r}")
-    cells = [None] * (len(rows) * width)
+def write_csv(path, columns: dict) -> None:
+    """Named 1-D columns of one length under a header of their names, LF
+    endings.  An integer column is written by '%d', a float column by the
+    float route; the table is rendered by one '%' of a row template repeated
+    once per row."""
+    arrays = [np.asarray(a) for a in columns.values()]
+    if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
+        raise InternalInvariant(f"CSV columns {list(columns)} are not 1-D of one length")
+    rows, width = arrays[0].size, len(arrays)
+    cells = [None] * (rows * width)
     template = []
-    for j, col in enumerate(zip(*rows)):
-        kinds = set(map(type, col))
-        if bool in kinds:
-            raise InternalInvariant("bool cell in CSV output")
-        integer = kinds == {int}
-        template.append("%d" if integer else "%.17g")
-        cells[j::width] = col if integer else _checked(col).tolist()
-    table = ("\n" + ",".join(template)) * len(rows) % tuple(cells)
-    Path(path).write_text(header + table + "\n", encoding="ascii", newline="")
+    for j, a in enumerate(arrays):
+        if a.dtype.kind in "iu":
+            template.append("%d")
+        elif a.dtype.kind == "f":
+            template.append("%.17g")
+            a = _checked(a)
+        else:
+            raise InternalInvariant(f"cannot write a {a.dtype} column to CSV")
+        cells[j::width] = a.tolist()
+    table = ("\n" + ",".join(template)) * rows % tuple(cells)
+    Path(path).write_text(",".join(columns) + table + "\n", encoding="ascii", newline="")
 
 
 # ------------------ input parsing ------------------ #

@@ -243,6 +243,63 @@ def test_weight_band_sampling(capsys, tmp_path):
     assert lines[0] == "theta,w"
 
 
+def csv_columns(path):
+    """{name: column} of a CSV table, each cell parsed as an int or a float."""
+    lines = path.read_text().splitlines()
+    cells = zip(*(line.split(",") for line in lines[1:]))
+    return {
+        name: [int(v) if name in ("level", "j") else float(v) for v in col]
+        for name, col in zip(lines[0].split(","), cells)
+    }
+
+
+def ladder_pair(n):
+    return make_pair(np.linspace(0.3, 1.1, n) * (-1.0) ** np.arange(n), m=[0.0] + [0.4] * n)
+
+
+def pair_json(pair):
+    return json.dumps({"c": list(pair.c), "m": list(pair.m)})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quadrature", "--n", "9", "--input", pair_json(ladder_pair(12))],
+        ["cdf", "--n", "9", "--grid", "40", "--input", pair_json(ladder_pair(12))],
+        ["weight", "--grid", "50", "--input", pair_json(ladder_pair(4))],
+        ["weight", "--theta", "2.5,1.75,2.5,0.9,1.75,3", "--input", '{"alpha": [0.3]}'],
+    ],
+)
+def test_csv_columns_are_the_report_values(capsys, tmp_path, argv):
+    # every column of the table reads back to the report's list, value for
+    # value: j counts the quadrature nodes from 1, and weight's rows are
+    # sorted by theta, repeated angles included
+    doc = run_json(capsys, [*argv, "--format", "both", "--outdir", str(tmp_path)])
+    columns = csv_columns(tmp_path / f"{argv[0]}.csv")
+    if argv[0] == "quadrature":
+        assert columns.pop("j") == list(range(1, 11))
+        assert columns.pop("weight") == doc["weights"]
+    elif argv[0] == "weight":
+        assert columns["theta"] == sorted(columns["theta"]) and len(columns["theta"]) >= 6
+    assert columns == {name: doc[name] for name in columns}
+
+
+def test_zeros_csv_columns_are_the_ladder(capsys, tmp_path):
+    # the table holds every level of zero_ladder in order, the report the last
+    pair = ladder_pair(9)
+    argv = ["zeros", "--input", pair_json(pair), "--format", "both", "--outdir", str(tmp_path)]
+    doc = run_json(capsys, argv)
+    columns = csv_columns(tmp_path / "zeros.csv")
+    ladder = opuckit.zero_ladder(pair, 9)
+    assert columns == {
+        "level": [zs.n for zs in ladder for _ in zs.x],
+        "j": [j for zs in ladder for j in range(1, zs.x.size + 1)],
+        "x": [v for zs in ladder for v in zs.x.tolist()],
+        "theta": [v for zs in ladder for v in zs.theta.tolist()],
+    }
+    assert (doc["x"], doc["theta"]) == (ladder[-1].x.tolist(), ladder[-1].theta.tolist())
+
+
 def alpha_doc(alpha):
     return json.dumps({"alpha": [[a.real, a.imag] for a in alpha]})
 
@@ -443,6 +500,8 @@ def test_exit_2_option_checks(capsys, argv, kind):
         (["periodic", "--input", ALPHA_THREE, "--p", "4"], "--p"),
         (["cdf", "--input", PAIR_TWO, "--grid", "1"], "--grid"),
         (["quadrature", "--input", PAIR_TWO, "--moments", "-1"], "--moments"),
+        (["weight", "--input", ALPHA_THREE, "--grid", "0"], "--grid"),
+        (["weight", "--input", ALPHA_THREE, "--grid", "-5"], "--grid"),
     ],
 )
 def test_exit_2_count_option_names_the_option(capsys, argv, option):

@@ -40,6 +40,14 @@ def test_params_validation():
     assert abs(REFERENCE.disc_scale - (1.0 - 0.09) * (1.0 - 0.25)) < 1e-15
 
 
+@pytest.mark.parametrize("name", ["c", "b1", "b2"])
+def test_params_refuse_a_bool(name):
+    # True == 1 would build the c = 1 family or fail on |b| < 1 instead
+    values = {"c": 1.0, "b1": 0.3, "b2": 0.5, name: True}
+    with pytest.raises(InvalidParameters, match=f"^{name} = True must be a finite real$"):
+        PeriodTwoParams(**values)
+
+
 def test_family_alpha_reference_values():
     a0, a1 = family_alpha(REFERENCE)
     # (0.3 + i)(1 - i)/2 and (0.5 - i)(1 - i)/2 expanded by hand

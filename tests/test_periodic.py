@@ -235,6 +235,13 @@ def test_normalization_free_case():
     assert report["point_mass"] == 0.0
 
 
+@pytest.mark.parametrize("alpha", [(0.0,), (0.5,), (0.3 + 0.1j, -0.2 + 0.4j)])
+def test_normalization_report_values_are_floats(alpha):
+    # (0.0,) carries no mass at any candidate, so point_mass is an empty sum
+    report = normalization_report(alpha)
+    assert {key: type(value) for key, value in report.items()} == dict.fromkeys(report, float)
+
+
 def test_normalization_single_with_mass():
     assert abs(checked_report((0.5,))["point_mass"] - 2.0 / 3.0) < 1e-12
 

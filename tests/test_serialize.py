@@ -163,16 +163,30 @@ def test_nonfinite_in_array_names_value(bad, tmp_path):
         with pytest.raises(InternalInvariant, match=message):
             dumps(obj)
     with pytest.raises(InternalInvariant, match=message):
-        write_csv(tmp_path / "bad.csv", "j,x", [(1, 0.5), (2, bad)])
+        write_csv(tmp_path / "bad.csv", {"j": np.array([1, 2]), "x": np.array([0.5, bad])})
 
 
 def test_csv_uses_the_same_float_rule(tmp_path):
-    rows = [(j, x, -x) for j, x in enumerate(CORPUS)]
-    write_csv(tmp_path / "rows.csv", "j,x,y", rows)
+    x = np.array(CORPUS)
+    write_csv(tmp_path / "rows.csv", {"j": np.arange(x.size), "x": x, "y": -x})
     want = ["j,x,y"] + [
-        f"{j},{ref_format_float(x)},{ref_format_float(y)}" for j, x, y in rows
+        f"{j},{ref_format_float(v)},{ref_format_float(-v)}" for j, v in enumerate(CORPUS)
     ]
     assert (tmp_path / "rows.csv").read_text() == "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ({"j": np.array([1, 2]), "ok": np.array([True, False])}, "cannot write a bool column"),
+        ({"j": np.array([1, 2]), "x": np.array([0.5])}, "not 1-D of one length"),
+        ({"z": np.array([[0.5, 0.0], [1.0, 0.0]])}, "not 1-D of one length"),
+    ],
+)
+def test_csv_refuses_columns_it_cannot_write(columns, message, tmp_path):
+    with pytest.raises(InternalInvariant, match=message):
+        write_csv(tmp_path / "bad.csv", columns)
+    assert not (tmp_path / "bad.csv").exists()
 
 
 # ---- bad input: exit 2 with the message the per-element parser gave
