@@ -48,6 +48,14 @@ e^{-i p theta/2} Tr T_p(z) equals beta + 1/beta, so beta = +1 and beta = -1
 give the band edges where it is +2 and -2.  The wrapped block makes column
 -1 of the fill column p - 1 and column p column 0; at p = 2 these add to
 entries of their own, since M is then full.
+
+_product fills a stack of such matrices along a leading axis, so one fill
+gives periodic E(+1), E(-1) and its candidate matrix (the CMV matrix of
+alpha_0..alpha_{p-2}) at once; each layer is the matrix its single builder
+gives, bit for bit.  cmv_matrix and floquet_matrix are the public
+single-matrix wrappers over the same fill: they check alpha and beta
+(errors), and floquet_matrix refuses an odd period.  periodic and zeros call
+the fill unchecked.
 """
 
 from __future__ import annotations
@@ -56,36 +64,49 @@ import math
 
 import numpy as np
 
+from .errors import InvalidParameters, _check_disc, _check_unimodular
+
 __all__ = ["cmv_matrix", "floquet_matrix", "cayley_level", "cayley_angles", "nearest_one"]
 
 
 def _product(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """L M from a = (alpha_{-1}, alpha_0, ...) and rho alike: with P = a.size // 2
-    row pairs, the 2P x (2P + 2) array whose column c + 1 holds column
-    c = -1..2P of L M (an odd size of L M fills one row more).
+    """L M of each row of a = (alpha_{-1}, alpha_0, ...) and of rho alike,
+    stacked: with P = a.shape[1] // 2 row pairs, the array of shape
+    (rows, 2P, 2P + 2) whose column c + 1 holds column c = -1..2P of L M (an
+    odd size of L M fills one row more).
 
     Rows 2j, 2j + 1 in columns 2j - 1, 2j are column 0 of Theta_{2j} times
     row 1 of Theta_{2j-1}, and in columns 2j + 1, 2j + 2 column 1 of
     Theta_{2j} times row 0 of Theta_{2j+1}.  The 2 x 4 window of row pair j
-    starts 2j (width + 1) entries into the buffer; the windows are written
-    through one strided view of it.
+    of a layer starts 2j (width + 1) entries into the layer's part of the
+    buffer.  Entry (k, c) of Theta_{i-1} is entry 4 i + 2 k + c of its layer
+    of theta, so both factors of every window are strided views of theta,
+    and one multiply writes all windows through a strided view of the
+    buffer.
     """
-    pairs = a.size // 2
-    theta = np.zeros((2 * pairs + 1, 2, 2), dtype=complex)
-    theta[: a.size, 0, 0] = a.conj()
-    theta[: a.size, 0, 1] = theta[: a.size, 1, 0] = rho
-    theta[: a.size, 1, 1] = -a
+    rows, size = a.shape
+    pairs = size // 2
+    theta = np.zeros((rows, 2 * pairs + 1, 2, 2), dtype=complex)
+    np.conjugate(a, out=theta[:, :size, 0, 0])
+    theta[:, :size, 0, 1] = theta[:, :size, 1, 0] = rho
+    np.negative(a, out=theta[:, :size, 1, 1])
     width = 2 * pairs + 2
-    buf = np.zeros(2 * pairs * width, dtype=complex)
+    buf = np.zeros(rows * 2 * pairs * width, dtype=complex)
     item = buf.itemsize
-    windows = np.ndarray(
-        (pairs, 2, 2, 2), dtype=complex, buffer=buf,
-        strides=(2 * (width + 1) * item, width * item, 2 * item, item),
+    # window[r, j, k, h, c] is entry (k, h) of Theta_{2j} times entry
+    # (1 - h, c) of Theta_{2j-1+2h}: entries 8j + 4 + 2k + h and
+    # 8j + 2 + 6h + c of layer r of theta
+    window = np.ndarray(
+        (rows, pairs, 2, 2, 2), dtype=complex, buffer=buf,
+        strides=(2 * pairs * width * item, 2 * (width + 1) * item, width * item, 2 * item, item),
     )
-    even = theta[1::2]
-    np.multiply(even[:, :, 0, None], theta[0:-1:2, None, 1], out=windows[:, :, 0])
-    np.multiply(even[:, :, 1, None], theta[2::2, None, 0], out=windows[:, :, 1])
-    return buf.reshape(2 * pairs, width)
+    layer = theta.strides[0]
+    column = np.ndarray((rows, pairs, 2, 2, 1), dtype=complex, buffer=theta, offset=4 * item,
+                        strides=(layer, 8 * item, 2 * item, item, 0))
+    row = np.ndarray((rows, pairs, 1, 2, 2), dtype=complex, buffer=theta, offset=2 * item,
+                     strides=(layer, 8 * item, 0, 6 * item, item))
+    np.multiply(column, row, out=window)
+    return buf.reshape(rows, 2 * pairs, width)
 
 
 def _rho(a: np.ndarray) -> np.ndarray:
@@ -93,30 +114,64 @@ def _rho(a: np.ndarray) -> np.ndarray:
     return np.sqrt((1.0 - r) * (1.0 + r))
 
 
-def cmv_matrix(alpha, beta: complex) -> np.ndarray:
-    """The (k+1)x(k+1) CMV matrix L M of alpha_0..alpha_{k-1} closed by |beta| = 1."""
+def _floquet(alpha, betas, closure=None) -> np.ndarray:
+    """E(beta) for each of betas, of one even period alpha_0..alpha_{p-1},
+    stacked; with a closure, the CMV matrix of alpha_0..alpha_{p-2} closed by
+    it follows as one more layer of the same fill.  Nothing is checked.
+
+    M's last block is closed around the corner: M[p-1, p-1] = conj(alpha_{p-1}),
+    M[0, 0] = -alpha_{p-1}, M[p-1, 0] = rho_{p-1} beta, M[0, p-1] = rho_{p-1}/beta.
+    The closing layer is filled as _cmv fills it: a = (-1,
+    alpha_0..alpha_{p-2}, closure) and rho = (0, rho_0..rho_{p-2}, 0).
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    ring = slice(len(betas))
+    shape = (len(betas) + (closure is not None), alpha.size + 1)
+    a, rho = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    a[:, 0], a[:, 1:] = alpha[-1], alpha
+    betas = np.asarray(betas, dtype=complex)
+    rho[:, 1:] = r = _rho(alpha)
+    rho[ring, 0] = r[-1] / betas
+    np.multiply(rho[ring, -1], betas, out=rho[ring, -1])
+    if closure is not None:
+        a[-1, 0], a[-1, -1] = -1.0, closure
+        rho[-1, 0] = rho[-1, -1] = 0.0
+    out = _product(a, rho)
+    u = out[..., 1:-1]
+    last, first = u[ring, :, -1], u[ring, :, 0]
+    np.add(last, out[ring, :, 0], out=last)
+    np.add(first, out[ring, :, -1], out=first)
+    return u
+
+
+def _cmv(alpha, beta) -> np.ndarray:
+    """cmv_matrix without its checks."""
     k = len(alpha)
     a = np.concatenate([[-1.0], alpha, [beta]])
     rho = np.concatenate([[0.0], _rho(a[1:-1]), [0.0]])
-    return _product(a, rho)[: k + 1, 1 : k + 2]
+    return _product(a[None], rho[None])[0, : k + 1, 1 : k + 2]
+
+
+def cmv_matrix(alpha, beta: complex) -> np.ndarray:
+    """The (k+1)x(k+1) CMV matrix L M of alpha_0..alpha_{k-1} closed by |beta| = 1.
+
+    InvalidParameters unless every |alpha_j| < 1 and beta is unimodular
+    (see errors)."""
+    _check_disc(alpha)
+    _check_unimodular(beta, "beta")
+    return _cmv(alpha, beta)
 
 
 def floquet_matrix(alpha, beta: complex) -> np.ndarray:
     """The p x p Floquet CMV matrix L M(beta) of one even period alpha_0..alpha_{p-1}.
 
-    M's last block is closed around the corner: M[p-1, p-1] = conj(alpha_{p-1}),
-    M[0, 0] = -alpha_{p-1}, M[p-1, 0] = rho_{p-1} beta, M[0, p-1] = rho_{p-1}/beta.
-    """
-    a = np.asarray(alpha, dtype=complex)
-    a = np.concatenate([a[-1:], a])
-    rho = _rho(a).astype(complex)
-    rho[0] /= beta
-    rho[-1] *= beta
-    out = _product(a, rho)
-    u = out[:, 1:-1]
-    u[:, -1] += out[:, 0]
-    u[:, 0] += out[:, -1]
-    return u
+    InvalidParameters unless p is even and positive, every |alpha_j| < 1 and
+    beta is unimodular (see errors)."""
+    p = _check_disc(alpha).size
+    if p == 0 or p % 2:
+        raise InvalidParameters(f"the Floquet matrix needs an even period p >= 2, got p = {p}")
+    _check_unimodular(beta, "beta")
+    return _floquet(alpha, (beta,))[0]
 
 
 def cayley_level(u: np.ndarray, k: int, a: complex, tau: complex, pole: float, vectors: bool = False):

@@ -4,9 +4,10 @@ Two branches matter to callers: InputError (bad data handed to us; CLI exit 2)
 and NumericsError (a numerical contract broke mid-computation; CLI exit 3).
 
 Each kind of argument has one check here, which every module calls: a finite
-array (_check_finite), reflection coefficients in the unit disc (_check_disc)
-and an integer count in a range (_check_count), such as a level n, a period p
-or a tail period.
+array (_check_finite), reflection coefficients in the unit disc (_check_disc),
+a unimodular number such as a rotation or a closing coefficient
+(_check_unimodular) and an integer count in a range (_check_count), such as a
+level n, a period p or a tail period.
 """
 
 import numpy as np
@@ -109,6 +110,15 @@ def _check_disc(alpha) -> np.ndarray:
         k = int(np.argmin(inside))
         raise InvalidParameters(f"alpha[{k}] = {complex(a[k])!r} must have modulus < 1")
     return a
+
+
+def _check_unimodular(value, name: str) -> complex:
+    """value as a complex; InvalidParameters naming it unless ||value| - 1|
+    <= 1e-12 (NaN included)."""
+    z = complex(value)
+    if not abs(abs(z) - 1.0) <= 1e-12:
+        raise InvalidParameters(f"{name} = {z!r} must be unimodular")
+    return z
 
 
 def _check_count(value, name: str, lo: int, hi: int | None = None) -> int:

@@ -15,7 +15,10 @@ matrices E(+1) and E(-1) (see cmv), and a touching point is a double
 eigenvalue.  Point masses can only sit at the p zeros of
 pi(z) = phi_p*(z) - phi_p(z), which are the eigenvalues of a p x p CMV
 matrix; the same eigendecomposition gives each candidate's mass from two
-entries of its eigenvector, and its Davis-Kahan error (see _candidates);
+entries of its eigenvector, and its Davis-Kahan error (see _candidates).
+For even p one CMV fill builds E(+1), E(-1) and that matrix as one stack,
+and one eigvals call on the stacked E(+-1) gives the edges; bands, gaps and
+the solution tuples are then read off arrays, one tolist per field;
 mass_series sums the defining series along the tau recursion as a second,
 independent route.  On
 band interiors the absolutely continuous weight is
@@ -46,12 +49,12 @@ kappa_p = prod 1/rho_j, which overflows at 229 copies of 0.999, never forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bijection import RENORM_EVERY, SequencePair
-from .cmv import cmv_matrix, floquet_matrix
+from .cmv import _cmv, _floquet
 from .errors import (
     DenominatorVanished,
     HypothesisViolated,
@@ -136,7 +139,14 @@ def transfer_matrix(a: complex, z) -> np.ndarray:
     return transfer_product((a,), z)
 
 
-def _floquet_entries(alpha, t: np.ndarray):
+def _log_bound(alpha) -> float:
+    """log of the transfer product's rounding bound (see _floquet_entries)."""
+    return math.log(16.0 * len(alpha) * _EPS) + sum(
+        math.log((1.0 + abs(a)) / math.sqrt(1.0 - abs(a) ** 2)) for a in alpha
+    )
+
+
+def _floquet_entries(alpha, t: np.ndarray, log_bound: float | None = None):
     """Delta, the entries E11, E12, E21, E22 of E = e^{-i p t/2} T_p(e^{i t})
     (det E = 1) and h = Im(e^{-i p t/2} phi_p(e^{i t})), whose circle zeros
     are those of pi = phi_p* - phi_p, over a 1-d array of angles, from one
@@ -146,12 +156,13 @@ def _floquet_entries(alpha, t: np.ndarray):
     16 p eps prod_j (1 + |alpha_j|)/rho_j (each factor is the infinity norm of
     A(alpha_j, z)), carried as a sum of logs since it overflows at large p,
     as the product itself does in a gap.  NonRealDiscriminant names the
-    first angle where Delta is not finite or not real to that bound.
+    first angle where Delta is not finite or not real to that bound.  A
+    caller that evaluates one block many times passes the bound's log, from
+    _log_bound.
     """
     p = len(alpha)
-    log_bound = math.log(16.0 * p * _EPS) + sum(
-        math.log((1.0 + abs(a)) / math.sqrt(1.0 - abs(a) ** 2)) for a in alpha
-    )
+    if log_bound is None:
+        log_bound = _log_bound(alpha)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         phi, star = _szego(
             alpha, np.exp(1j * t), np.array([[1.0], [0.0], [1.0]]), np.array([[0.0], [1.0], [1.0]])
@@ -240,24 +251,30 @@ class PeriodicSpectrum:
     point_error: float = 0.0  # the mass errors summed over all candidates
 
 
-def _edges(alpha) -> tuple[np.ndarray, np.ndarray]:
+def _edges(alpha, floquets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 2p solutions of Delta = +-2: raw angles in [0, 2 pi], ascending, and
-    the sign of Delta at each.
+    the sign of Delta at each, from one eigvals call on the stack of
+    _edge_matrices.
 
     Even p: the eigenvalues of the Floquet matrices E(+1) and E(-1), signed by
     the matrix they come from.  Odd p: the eigenvalues of E(+1) of the doubled
     block, whose discriminant is Delta^2 - 2, signed by Delta at their angle.
     """
     p = len(alpha)
+    theta = np.mod(np.angle(np.linalg.eigvals(floquets)), TWO_PI).ravel()
+    order = theta.argsort(kind="stable")
     if p % 2 == 0:
-        z = np.concatenate([np.linalg.eigvals(floquet_matrix(alpha, b)) for b in (1.0, -1.0)])
-        sign = np.repeat([1, -1], p)
-        theta = np.mod(np.angle(z), TWO_PI)
-    else:
-        theta = np.mod(np.angle(np.linalg.eigvals(floquet_matrix(alpha + alpha, 1.0))), TWO_PI)
-        sign = np.where(_floquet_entries(alpha, theta)[0] > 0.0, 1, -1)
-    order = np.argsort(theta, kind="stable")
+        # the first p eigenvalues are those of E(+1)
+        return theta[order], np.where(order < p, 1, -1)
+    sign = np.where(_floquet_entries(alpha, theta)[0] > 0.0, 1, -1)
     return theta[order], sign[order]
+
+
+def _edge_matrices(alpha) -> np.ndarray:
+    """E(+1) and E(-1) stacked for even p; E(+1) of the doubled block for odd p."""
+    if len(alpha) % 2:
+        return _floquet(alpha + alpha, (1.0,))
+    return _floquet(alpha, (1.0, -1.0))
 
 
 def band_structure(alpha) -> PeriodicSpectrum:
@@ -275,53 +292,58 @@ def band_structure(alpha) -> PeriodicSpectrum:
     eigensolver's backward error 64 p eps: the Floquet matrices are normal,
     so a touching point is an exact double eigenvalue.
     """
-    return _bands(_check_alpha(alpha))
-
-
-def _bands(alpha) -> PeriodicSpectrum:
+    alpha = _check_alpha(alpha)
     p = len(alpha)
-    theta, sign = _edges(alpha)
-    ends = np.append(theta, theta[0] + TWO_PI)
-    signs = np.append(sign, sign[0] * (-1) ** p)
+    return PeriodicSpectrum(p, *_bands(p, *_edges(alpha, _edge_matrices(alpha))))
+
+
+def _bands(p: int, theta: np.ndarray, sign: np.ndarray):
+    """plus_solutions, minus_solutions, bands and gaps of PeriodicSpectrum
+    from the ascending edges of _edges (see band_structure), each field from
+    arrays."""
+    ends = np.concatenate((theta, theta[:1] + TWO_PI))
+    signs = np.concatenate((sign, sign[:1] * (-1) ** p))
     flips = signs[:-1] != signs[1:]
     s = int(np.count_nonzero(flips[1::2]) > np.count_nonzero(flips[0::2]))
-    bands: list[Band] = []
-    gaps: list[Gap] = []
-    for i in range(2 * p):
-        lo, hi = float(ends[i]), float(ends[i + 1])
-        if i % 2 == s:
-            if not flips[i]:
-                raise InternalInvariant(f"band [{lo!r}, {hi!r}] has one sign at both edges")
-            bands.append(Band(lo=lo, hi=hi, lo_sign=int(signs[i]), hi_sign=int(signs[i + 1])))
-        elif hi - lo <= 64.0 * p * _EPS:
-            mid = 0.5 * (lo + hi) % TWO_PI
-            gaps.append(Gap(lo=mid, hi=mid, closed=True))
-        else:
-            gaps.append(Gap(lo=lo, hi=hi, closed=False))
-    if p % 2 and s == 1:
-        theta[0], sign[0] = ends[-1], signs[-1]
-    return PeriodicSpectrum(
-        p=p,
-        plus_solutions=tuple(sorted(float(t) for t in theta[sign > 0])),
-        minus_solutions=tuple(sorted(float(t) for t in theta[sign < 0])),
-        bands=tuple(sorted(bands, key=lambda b: b.lo)),
-        gaps=tuple(sorted(gaps, key=lambda g: g.lo)),
-    )
+    if np.count_nonzero(flips[s::2]) < p:
+        j = s + 2 * int(np.argmin(flips[s::2]))
+        raise InternalInvariant(
+            f"band [{float(ends[j])!r}, {float(ends[j + 1])!r}] has one sign at both edges"
+        )
+    # band j is the arc from edge s + 2j to the next, gap j the arc from
+    # edge 1 - s + 2j; both ascend in j
+    e, g = ends.tolist(), signs.tolist()
+    bands = map(Band, e[s:-1:2], e[s + 1 :: 2], g[s:-1:2], g[s + 1 :: 2])
+    lo, hi = ends[1 - s : -1 : 2], ends[2 - s :: 2]
+    closed = hi - lo <= 64.0 * p * _EPS
+    if np.count_nonzero(closed):
+        # a closed gap is its midpoint; one through angle 0 moves to the front
+        mid = np.mod(0.5 * (lo + hi), TWO_PI)
+        lo, hi = np.where(closed, mid, lo), np.where(closed, mid, hi)
+        order = lo.argsort(kind="stable")
+        lo, hi, closed = lo[order], hi[order], closed[order]
+    gaps = map(Gap, lo.tolist(), hi.tolist(), closed.tolist())
+    # for odd p with s = 1 the first edge is reported lifted by 2 pi, as the
+    # last: the edges stay ascending
+    theta, sign = (ends[1:], signs[1:]) if p % 2 and s else (ends[:-1], signs[:-1])
+    return (tuple(theta[sign > 0].tolist()), tuple(theta[sign < 0].tolist()),
+            tuple(bands), tuple(gaps))
 
 
 # ------------------ point-mass candidates ------------------ #
 
 
-def _candidates(alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _candidates(alpha, cmv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angles of the p candidates, ascending in [0, 2 pi], their masses (0
     where there is none) and what each mass may be off by, from one
-    eigendecomposition.
+    eigendecomposition of the candidate matrix cmv (_candidate_matrix).
 
     pi = -(1 + alpha_{p-1}) (z phi_{p-1} - conj(beta) phi_{p-1}*) with
     beta = (1 + alpha_{p-1})/(1 + conj(alpha_{p-1})), so the candidates z_j
     are the eigenvalues of C, the CMV matrix of alpha_0..alpha_{p-2} closed by
     beta (Cantero-Moral-Velazquez, LAA 362 (2003); Simon, OPUC vol. 1
-    sections 4.1-4.2).  A unit eigenvector of C has
+    sections 4.1-4.2); beta is formed by Python's complex division (_closure),
+    since numpy's rounds differently.  A unit eigenvector of C has
     |V[k, j]|^2 = lambda_j |phi_k(z_j)|^2 with orthonormal phi_k and the
     Christoffel weight lambda_j = 1/sum_{k<p} |phi_k(z_j)|^2.
 
@@ -354,10 +376,11 @@ def _candidates(alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     p = len(alpha)
     a = alpha[-1]
-    cmv = cmv_matrix(alpha[:-1], (1.0 + a) / (1.0 + a.conjugate()))
     z, v = np.linalg.eig(cmv)
     bound = 64.0 * p * _EPS
-    residual = np.linalg.norm(cmv @ v - v * z, axis=0)
+    misfit = cmv @ v - v * z
+    # the column norms, formed as numpy.linalg.norm(misfit, axis=0) forms them
+    residual = np.sqrt(np.add.reduce((misfit.conj() * misfit).real, axis=0))
     off_circle = np.abs(np.abs(z) - 1.0)
     for name, values in (("eigen-residual", residual), ("||z| - 1|", off_circle)):
         if not values.max() <= bound:
@@ -370,7 +393,7 @@ def _candidates(alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mass = np.abs(v[0]) ** 2 - np.abs(v[-1]) ** 2 * k
     mass = np.where(mass > 16.0 * p * _EPS, mass, 0.0)
     theta = np.mod(np.angle(z), TWO_PI)
-    order = np.argsort(theta)
+    order = theta.argsort()
     tilt = np.zeros(p)
     if p > 1:
         # the sorted candidates closed into a ring; sep is the smaller of the
@@ -384,11 +407,22 @@ def _candidates(alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return theta[order], mass[order], (1.0 + k) * (tilt + 16.0 * p * _EPS)
 
 
+def _closure(alpha) -> complex:
+    """beta = (1 + alpha_{p-1})/(1 + conj(alpha_{p-1})) of _candidates."""
+    a = alpha[-1]
+    return (1.0 + a) / (1.0 + a.conjugate())
+
+
+def _candidate_matrix(alpha) -> np.ndarray:
+    """C of _candidates alone."""
+    return _cmv(alpha[:-1], _closure(alpha))
+
+
 def gap_candidates(alpha):
     """The p circle zeros of pi(z) = phi_p*(z) - phi_p(z), as (z, theta)
     tuples with thetas ascending in [0, 2 pi]; see _candidates."""
     alpha = _check_alpha(alpha)
-    thetas = _candidates(alpha)[0]
+    thetas = _candidates(alpha, _candidate_matrix(alpha))[0]
     return tuple(np.exp(1j * thetas).tolist()), tuple(thetas.tolist())
 
 
@@ -402,7 +436,7 @@ def pure_point_mass(alpha, w: complex) -> float | None:
     mass is the one full_spectrum reports there (see _candidates).
     """
     alpha = _check_alpha(alpha)
-    thetas, masses, _ = _candidates(alpha)
+    thetas, masses, _ = _candidates(alpha, _candidate_matrix(alpha))
     dist = np.abs(np.exp(1j * thetas) - complex(w))
     j = int(np.argmin(dist))
     bound = 64.0 * len(alpha) * _EPS
@@ -529,23 +563,24 @@ def _initial_panels(spectrum: PeriodicSpectrum):
     gap_side = np.mod(signs[:, None] * (edges[:, None] - cand[None, :]), TWO_PI)
     deltas = np.min(gap_side, axis=1)
     on_edge = np.minimum(deltas, TWO_PI - np.max(gap_side, axis=1)) <= limit
-    panels = []
-    for edge, sign, top, delta, touch in zip(edges, signs, tops, deltas, on_edge):
-        cuts = [0.0]
-        if delta > limit:
-            u = math.sqrt(delta)
-            while u < top:
-                cuts.append(u)
-                u *= 2.0
-        cuts.append(top)
-        panels.extend(
-            (edge, sign, lo, hi, touch and lo == 0.0) for lo, hi in zip(cuts[:-1], cuts[1:])
-        )
-    edge, sign, lo, hi, touch = zip(*panels)
-    return np.array(edge), np.array(sign), np.array(lo), np.array(hi), np.array(touch)
+    # the cuts root 2^j < top, j = 0, 1, ..., are exact: n of them in each row
+    graded = deltas > limit
+    root = np.sqrt(np.where(graded, deltas, np.inf))
+    # top / root < 2^e with e its binary exponent, so j < e
+    e = np.frexp(tops / root)[1]
+    cuts = np.ldexp(root[:, None], np.arange(e.max() + 1))
+    below = cuts < tops[:, None]
+    n = np.count_nonzero(below, axis=1)
+    # row k: 0, its n cuts, then top to the end; panels j = 0..n of each row
+    ends = np.column_stack((np.zeros_like(tops), np.where(below, cuts, tops[:, None]), tops))
+    panel = np.arange(ends.shape[1] - 1) <= n[:, None]
+    lo, hi = ends[:, :-1][panel], ends[:, 1:][panel]
+    count = n + 1
+    return (np.repeat(edges, count), np.repeat(signs, count), lo, hi,
+            np.repeat(on_edge, count) & (lo == 0.0))
 
 
-def _gk15(alpha, edge, sign, lo, hi, on_edge):
+def _gk15(alpha, log_bound, edge, sign, lo, hi, on_edge):
     """G7-K15 over each panel [lo, hi] of u: the integral, the rule's error
     estimate, the rounding estimate, and whether rounding limits the panel.
 
@@ -566,7 +601,7 @@ def _gk15(alpha, edge, sign, lo, hi, on_edge):
     half = 0.5 * (hi - lo)
     u = mid[:, None] + half[:, None] * _GK_NODES
     t = (edge[:, None] + sign[:, None] * u * u).ravel()
-    delta, *entries, h = _floquet_entries(alpha, t)
+    delta, *entries, h = _floquet_entries(alpha, t, log_bound)
     q = _four_minus_delta_sq(delta, *entries)
     size = np.abs(h)
     root = np.sqrt(np.maximum(q, 0.0))
@@ -603,8 +638,9 @@ def _ac_integral(alpha, spectrum: PeriodicSpectrum) -> tuple[float, float]:
     """
     tol = _AC_TOL * TWO_PI
     cap = _PANELS_PER_HALF_BAND * 2 * spectrum.p
+    log_bound = _log_bound(alpha)
     edge, sign, lo, hi, on_edge = _initial_panels(spectrum)
-    val, err, rounding, limited = _gk15(alpha, edge, sign, lo, hi, on_edge)
+    val, err, rounding, limited = _gk15(alpha, log_bound, edge, sign, lo, hi, on_edge)
     while not float(np.sum(err)) <= tol:
         split = (err > tol / val.size) & ~limited
         n_split = int(np.count_nonzero(split))
@@ -627,7 +663,7 @@ def _ac_integral(alpha, spectrum: PeriodicSpectrum) -> tuple[float, float]:
             np.concatenate([mine[keep], theirs])
             for mine, theirs in zip(
                 (edge, sign, lo, hi, on_edge, val, err, rounding, limited),
-                halves + _gk15(alpha, *halves),
+                halves + _gk15(alpha, log_bound, *halves),
             )
         )
     return float(np.sum(val)), float(np.sum(err) + np.sum(rounding))
@@ -641,12 +677,21 @@ def full_spectrum(alpha) -> PeriodicSpectrum:
 
 
 def _spectrum(alpha) -> PeriodicSpectrum:
-    thetas, masses, errors = _candidates(alpha)
+    """full_spectrum of a checked alpha.  For even p, E(+1), E(-1) and C come
+    from one fill."""
+    p = len(alpha)
+    if p % 2:
+        floquets, cmv = _edge_matrices(alpha), _candidate_matrix(alpha)
+    else:
+        stack = _floquet(alpha, (1.0, -1.0), _closure(alpha))
+        floquets, cmv = stack[:2], stack[2]
+    thetas, masses, errors = _candidates(alpha, cmv)
     zs = np.exp(1j * thetas).tolist()
     thetas, errors = thetas.tolist(), errors.tolist()
     points = zip(zs, thetas, masses.tolist(), errors)
-    return replace(
-        _bands(alpha),
+    return PeriodicSpectrum(
+        p,
+        *_bands(p, *_edges(alpha, floquets)),
         candidates=tuple(zs),
         candidate_thetas=tuple(thetas),
         pure_points=tuple(PurePoint(z, t, m, e) for z, t, m, e in points if m > 0.0),
@@ -660,8 +705,16 @@ def normalization_report(alpha, spectrum: PeriodicSpectrum | None = None) -> dic
     ac_error is the summed error estimate of the band integrals over 2 pi, and
     point_error the spectrum's summed bound on the errors of the masses (see
     full_spectrum), so |total - 1| should be within ac_error + point_error.
+
+    A given spectrum must be full_spectrum(alpha): one of another period
+    raises InvalidParameters, and one of another block of the same period is
+    the caller's responsibility.
     """
     alpha = _check_alpha(alpha)
+    if spectrum is not None and spectrum.p != len(alpha):
+        raise InvalidParameters(
+            f"spectrum of period {spectrum.p} given for alpha of period {len(alpha)}"
+        )
     if spectrum is None or not spectrum.candidates:
         spectrum = _spectrum(alpha)
     ac, ac_err = (x / TWO_PI for x in _ac_integral(alpha, spectrum))

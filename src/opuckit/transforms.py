@@ -22,7 +22,7 @@ from .bijection import (
     pair_to_verblunsky,
     running_product,
 )
-from .errors import HypothesisViolated, InvalidParameters, _check_disc
+from .errors import HypothesisViolated, _check_disc, _check_unimodular
 
 __all__ = ["UnfoldingData", "conjugate_pair", "rotate_alpha", "unfold_alternating"]
 
@@ -37,9 +37,7 @@ def conjugate_pair(pair: SequencePair) -> SequencePair:
 def rotate_alpha(alpha, beta: complex) -> tuple[complex, ...]:
     """alpha_n -> beta^{n+1} alpha_n for |beta| = 1 (measure rotated by beta)
     and every |alpha_n| < 1."""
-    beta = complex(beta)
-    if not abs(abs(beta) - 1.0) <= 1e-12:
-        raise InvalidParameters(f"beta = {beta!r} must be unimodular")
+    beta = _check_unimodular(beta, "beta")
     if isinstance(alpha, VerblunskySequence):
         alpha = alpha.alpha
     a = _check_disc(alpha)

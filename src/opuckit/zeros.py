@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bijection import SequencePair, _alpha_tau
-from .cmv import cayley_angles, cayley_level, cmv_matrix, nearest_one
+from .cmv import _cmv, cayley_angles, cayley_level, nearest_one
 from .errors import GapViolated, HypothesisViolated, InternalInvariant, _check_count
 
 __all__ = ["ZeroSet", "SupportGapReport", "zero_ladder", "w_zeros", "support_gap_check"]
@@ -88,7 +88,7 @@ def _levels(pair: SequencePair, n: int, first: int, weights: bool = False):
     run once over all levels.  The caller checks n.
     """
     alpha, tau = _alpha_tau(pair.c[:n], pair.m[1 : n + 1])
-    u = cmv_matrix(alpha, tau[n].conjugate())
+    u = _cmv(alpha, tau[n].conjugate())
     poles = _poles(pair, n)[first - 1 :]
     levels = np.arange(first, n + 1)
     h, q = zip(*[

@@ -1,10 +1,13 @@
 """CMV and Floquet matrices from their closed-form fill against dense L @ M."""
 
 import math
+import warnings
 
 import numpy as np
+import pytest
 
-from opuckit.cmv import cmv_matrix, floquet_matrix
+from opuckit.cmv import _floquet, cmv_matrix, floquet_matrix
+from opuckit.errors import InvalidParameters
 from conftest import random_alpha
 
 EPS = np.finfo(float).eps
@@ -70,3 +73,37 @@ def test_floquet_fill_matches_dense_product():
                 assert got.shape == (p, p)
                 assert np.all(np.abs(got - dense_floquet(alpha, beta)) <= 2 * EPS)
 
+
+
+def test_stacked_fill_layers_match_the_wrappers_bit_for_bit():
+    # E(+1), E(-1) and the candidate matrix of periodic come from one fill;
+    # each layer must be the matrix the public builders give, to the bit
+    rng = np.random.default_rng(46)
+    for p in range(2, 65, 2):
+        for _ in range(4):
+            alpha = random_alpha(rng, p, radius=0.95)
+            a = alpha[-1]
+            closure = (1.0 + a) / (1.0 + a.conjugate())
+            stack = _floquet(alpha, (1.0, -1.0), closure)
+            want = (floquet_matrix(alpha, 1.0), floquet_matrix(alpha, -1.0),
+                    cmv_matrix(alpha[:-1], closure))
+            for got, matrix in zip(stack, want):
+                assert got.tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("build, alpha, beta, match", [
+    (floquet_matrix, (0.3, 0.2j, 0.1), 1.0, "even period .* p = 3"),
+    (floquet_matrix, (), 1.0, "even period .* p = 0"),
+    (floquet_matrix, (1.3, 0.2), 1.0, r"alpha\[0\] = \(1\.3\+0j\) must have modulus < 1"),
+    (floquet_matrix, (0.3, math.nan), -1.0, r"alpha\[1\] .* modulus < 1"),
+    (floquet_matrix, (0.3, 0.2), 2.0, r"beta = \(2\+0j\) must be unimodular"),
+    (floquet_matrix, (0.3, 0.2), math.nan, "beta .* must be unimodular"),
+    (cmv_matrix, (1.3, 0.2), 1.0, r"alpha\[0\] .* modulus < 1"),
+    (cmv_matrix, (0.3, 0.2), 2.0, r"beta = \(2\+0j\) must be unimodular"),
+    (cmv_matrix, (0.3,), 0.5j, "beta = 0.5j must be unimodular"),
+])
+def test_builders_refuse_bad_input(build, alpha, beta, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameters, match=match):
+            build(alpha, beta)

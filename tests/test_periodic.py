@@ -579,8 +579,8 @@ def test_normalization_past_kappa_overflow():
 
 def test_candidate_check_names_index_and_value(monkeypatch):
     # a matrix 1% off unitary moves every eigenvalue off the circle
-    build = periodic.cmv_matrix
-    monkeypatch.setattr(periodic, "cmv_matrix", lambda alpha, beta: 1.01 * build(alpha, beta))
+    build = periodic._floquet
+    monkeypatch.setattr(periodic, "_floquet", lambda *args: 1.01 * build(*args))
     with pytest.raises(InternalInvariant, match=r"candidate 0 .* has \|\|z\| - 1\| 0\.01"):
         full_spectrum((0.5, 0.2))
 
@@ -710,3 +710,80 @@ def test_parallel_lines_built_families():
         alpha.extend([1.0 - u * v, -1.0 + s * v])
     assert all(abs(a) < 1.0 for a in alpha)
     assert parallel_lines_check(tuple(alpha))
+
+
+def test_normalization_report_refuses_a_spectrum_of_another_period():
+    alpha = (0.3 + 0.1j, -0.2 + 0.4j)
+    other = full_spectrum((0.5, 0.1j, -0.3, 0.2))
+    with pytest.raises(InvalidParameters, match="spectrum of period 4 .* alpha of period 2"):
+        normalization_report(alpha, other)
+
+
+def reference_bands(p, theta, sign):
+    """The edge-by-edge assembly that _bands replaced, kept as it was."""
+    ends = np.append(theta, theta[0] + TWO_PI)
+    signs = np.append(sign, sign[0] * (-1) ** p)
+    flips = signs[:-1] != signs[1:]
+    s = int(np.count_nonzero(flips[1::2]) > np.count_nonzero(flips[0::2]))
+    bands: list[periodic.Band] = []
+    gaps: list[periodic.Gap] = []
+    for i in range(2 * p):
+        lo, hi = float(ends[i]), float(ends[i + 1])
+        if i % 2 == s:
+            if not flips[i]:
+                raise InternalInvariant(f"band [{lo!r}, {hi!r}] has one sign at both edges")
+            bands.append(periodic.Band(lo=lo, hi=hi, lo_sign=int(signs[i]), hi_sign=int(signs[i + 1])))
+        elif hi - lo <= 64.0 * p * periodic._EPS:
+            mid = 0.5 * (lo + hi) % TWO_PI
+            gaps.append(periodic.Gap(lo=mid, hi=mid, closed=True))
+        else:
+            gaps.append(periodic.Gap(lo=lo, hi=hi, closed=False))
+    if p % 2 and s == 1:
+        theta[0], sign[0] = ends[-1], signs[-1]
+    return periodic.PeriodicSpectrum(
+        p=p,
+        plus_solutions=tuple(sorted(float(t) for t in theta[sign > 0])),
+        minus_solutions=tuple(sorted(float(t) for t in theta[sign < 0])),
+        bands=tuple(sorted(bands, key=lambda b: b.lo)),
+        gaps=tuple(sorted(gaps, key=lambda g: g.lo)),
+    )
+
+
+def circle_offset(theta, lo):
+    """theta - lo reduced to [0, 2 pi)."""
+    return (theta - lo) % TWO_PI
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_full_spectrum_structure_on_random_blocks(data):
+    # any block, odd p included: p bands alternating with p gaps, each band
+    # from Delta = +2 to -2 or back, p solutions of each sign, and one
+    # candidate in the closure of each gap to the eigensolver's 64 p eps
+    p = data.draw(st.integers(1, 24))
+    r = data.draw(st.lists(st.floats(0.0, 0.95), min_size=p, max_size=p))
+    phi = data.draw(st.lists(st.floats(0.0, TWO_PI), min_size=p, max_size=p))
+    alpha = tuple(cmath.rect(a, b) for a, b in zip(r, phi))
+    spec = full_spectrum(alpha)
+    tol = 64 * p * EPS
+    assert len(spec.bands) == len(spec.gaps) == p
+    assert len(spec.plus_solutions) == len(spec.minus_solutions) == p
+    # each band ends where a gap starts and each gap ends where a band
+    # starts (a closed gap is its touching point), and the arcs cover the
+    # circle once
+    def meets(x, starts):
+        return any(min(circle_offset(x, y), circle_offset(y, x)) <= tol for y in starts)
+
+    assert all(meets(b.hi, [g.lo for g in spec.gaps]) for b in spec.bands)
+    assert all(meets(g.hi, [b.lo for b in spec.bands]) for g in spec.gaps)
+    widths = sum(b.hi - b.lo for b in spec.bands) + sum(g.hi - g.lo for g in spec.gaps)
+    assert abs(widths - TWO_PI) <= 2 * p * tol
+    assert all(b.lo_sign == -b.hi_sign for b in spec.bands)
+    for gap in spec.gaps:
+        held = [t for t in spec.candidate_thetas
+                if circle_offset(t, gap.lo - tol) <= gap.hi - gap.lo + 2 * tol]
+        assert len(held) == 1, (gap, spec.candidate_thetas)
+    theta, sign = periodic._edges(alpha, periodic._edge_matrices(alpha))
+    want = reference_bands(p, theta.copy(), sign.copy())
+    got = periodic.PeriodicSpectrum(p, *periodic._bands(p, theta, sign))
+    assert repr(got) == repr(want)
