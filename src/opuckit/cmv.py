@@ -157,9 +157,8 @@ def cmv_matrix(alpha, beta: complex) -> np.ndarray:
 
     InvalidParameters unless every |alpha_j| < 1 and beta is unimodular
     (see errors)."""
-    _check_disc(alpha)
-    _check_unimodular(beta, "beta")
-    return _cmv(alpha, beta)
+    a = _check_disc(alpha)
+    return _cmv(a, _check_unimodular(beta, "beta"))
 
 
 def floquet_matrix(alpha, beta: complex) -> np.ndarray:
@@ -167,11 +166,10 @@ def floquet_matrix(alpha, beta: complex) -> np.ndarray:
 
     InvalidParameters unless p is even and positive, every |alpha_j| < 1 and
     beta is unimodular (see errors)."""
-    p = _check_disc(alpha).size
-    if p == 0 or p % 2:
-        raise InvalidParameters(f"the Floquet matrix needs an even period p >= 2, got p = {p}")
-    _check_unimodular(beta, "beta")
-    return _floquet(alpha, (beta,))[0]
+    a = _check_disc(alpha)
+    if a.size == 0 or a.size % 2:
+        raise InvalidParameters(f"the Floquet matrix needs an even period p >= 2, got p = {a.size}")
+    return _floquet(a, (_check_unimodular(beta, "beta"),))[0]
 
 
 def cayley_level(u: np.ndarray, k: int, a: complex, tau: complex, pole: float, vectors: bool = False):

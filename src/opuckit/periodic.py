@@ -139,14 +139,7 @@ def transfer_matrix(a: complex, z) -> np.ndarray:
     return transfer_product((a,), z)
 
 
-def _log_bound(alpha) -> float:
-    """log of the transfer product's rounding bound (see _floquet_entries)."""
-    return math.log(16.0 * len(alpha) * _EPS) + sum(
-        math.log((1.0 + abs(a)) / math.sqrt(1.0 - abs(a) ** 2)) for a in alpha
-    )
-
-
-def _floquet_entries(alpha, t: np.ndarray, log_bound: float | None = None):
+def _floquet_entries(alpha, t: np.ndarray):
     """Delta, the entries E11, E12, E21, E22 of E = e^{-i p t/2} T_p(e^{i t})
     (det E = 1) and h = Im(e^{-i p t/2} phi_p(e^{i t})), whose circle zeros
     are those of pi = phi_p* - phi_p, over a 1-d array of angles, from one
@@ -156,13 +149,12 @@ def _floquet_entries(alpha, t: np.ndarray, log_bound: float | None = None):
     16 p eps prod_j (1 + |alpha_j|)/rho_j (each factor is the infinity norm of
     A(alpha_j, z)), carried as a sum of logs since it overflows at large p,
     as the product itself does in a gap.  NonRealDiscriminant names the
-    first angle where Delta is not finite or not real to that bound.  A
-    caller that evaluates one block many times passes the bound's log, from
-    _log_bound.
+    first angle where Delta is not finite or not real to that bound.
     """
     p = len(alpha)
-    if log_bound is None:
-        log_bound = _log_bound(alpha)
+    log_bound = math.log(16.0 * p * _EPS) + sum(
+        math.log((1.0 + abs(a)) / math.sqrt(1.0 - abs(a) ** 2)) for a in alpha
+    )
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         phi, star = _szego(
             alpha, np.exp(1j * t), np.array([[1.0], [0.0], [1.0]]), np.array([[0.0], [1.0], [1.0]])
@@ -253,8 +245,8 @@ class PeriodicSpectrum:
 
 def _edges(alpha, floquets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 2p solutions of Delta = +-2: raw angles in [0, 2 pi], ascending, and
-    the sign of Delta at each, from one eigvals call on the stack of
-    _edge_matrices.
+    the sign of Delta at each, from one eigvals call on the stacked Floquet
+    matrices of _matrices.
 
     Even p: the eigenvalues of the Floquet matrices E(+1) and E(-1), signed by
     the matrix they come from.  Odd p: the eigenvalues of E(+1) of the doubled
@@ -270,11 +262,21 @@ def _edges(alpha, floquets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta[order], sign[order]
 
 
-def _edge_matrices(alpha) -> np.ndarray:
-    """E(+1) and E(-1) stacked for even p; E(+1) of the doubled block for odd p."""
+def _matrices(alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked Floquet matrices of _edges and the candidate matrix C of
+    _candidates.
+
+    Even p: E(+1), E(-1) and C are the three layers of one fill.  Odd p:
+    E(+1) of the doubled block, and C by a fill of its own.  C is closed by
+    beta = (1 + alpha_{p-1})/(1 + conj(alpha_{p-1})), formed by Python's
+    complex division, since numpy's rounds differently.
+    """
+    a = alpha[-1]
+    beta = (1.0 + a) / (1.0 + a.conjugate())
     if len(alpha) % 2:
-        return _floquet(alpha + alpha, (1.0,))
-    return _floquet(alpha, (1.0, -1.0))
+        return _floquet(alpha + alpha, (1.0,)), _cmv(alpha[:-1], beta)
+    stack = _floquet(alpha, (1.0, -1.0), beta)
+    return stack[:2], stack[2]
 
 
 def band_structure(alpha) -> PeriodicSpectrum:
@@ -294,7 +296,7 @@ def band_structure(alpha) -> PeriodicSpectrum:
     """
     alpha = _check_alpha(alpha)
     p = len(alpha)
-    return PeriodicSpectrum(p, *_bands(p, *_edges(alpha, _edge_matrices(alpha))))
+    return PeriodicSpectrum(p, *_bands(p, *_edges(alpha, _matrices(alpha)[0])))
 
 
 def _bands(p: int, theta: np.ndarray, sign: np.ndarray):
@@ -336,14 +338,13 @@ def _bands(p: int, theta: np.ndarray, sign: np.ndarray):
 def _candidates(alpha, cmv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Angles of the p candidates, ascending in [0, 2 pi], their masses (0
     where there is none) and what each mass may be off by, from one
-    eigendecomposition of the candidate matrix cmv (_candidate_matrix).
+    eigendecomposition of the candidate matrix cmv (_matrices).
 
     pi = -(1 + alpha_{p-1}) (z phi_{p-1} - conj(beta) phi_{p-1}*) with
     beta = (1 + alpha_{p-1})/(1 + conj(alpha_{p-1})), so the candidates z_j
     are the eigenvalues of C, the CMV matrix of alpha_0..alpha_{p-2} closed by
     beta (Cantero-Moral-Velazquez, LAA 362 (2003); Simon, OPUC vol. 1
-    sections 4.1-4.2); beta is formed by Python's complex division (_closure),
-    since numpy's rounds differently.  A unit eigenvector of C has
+    sections 4.1-4.2).  A unit eigenvector of C has
     |V[k, j]|^2 = lambda_j |phi_k(z_j)|^2 with orthonormal phi_k and the
     Christoffel weight lambda_j = 1/sum_{k<p} |phi_k(z_j)|^2.
 
@@ -378,9 +379,7 @@ def _candidates(alpha, cmv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     a = alpha[-1]
     z, v = np.linalg.eig(cmv)
     bound = 64.0 * p * _EPS
-    misfit = cmv @ v - v * z
-    # the column norms, formed as numpy.linalg.norm(misfit, axis=0) forms them
-    residual = np.sqrt(np.add.reduce((misfit.conj() * misfit).real, axis=0))
+    residual = np.linalg.norm(cmv @ v - v * z, axis=0)
     off_circle = np.abs(np.abs(z) - 1.0)
     for name, values in (("eigen-residual", residual), ("||z| - 1|", off_circle)):
         if not values.max() <= bound:
@@ -393,7 +392,7 @@ def _candidates(alpha, cmv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     mass = np.abs(v[0]) ** 2 - np.abs(v[-1]) ** 2 * k
     mass = np.where(mass > 16.0 * p * _EPS, mass, 0.0)
     theta = np.mod(np.angle(z), TWO_PI)
-    order = theta.argsort()
+    order = np.argsort(theta)
     tilt = np.zeros(p)
     if p > 1:
         # the sorted candidates closed into a ring; sep is the smaller of the
@@ -407,22 +406,11 @@ def _candidates(alpha, cmv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return theta[order], mass[order], (1.0 + k) * (tilt + 16.0 * p * _EPS)
 
 
-def _closure(alpha) -> complex:
-    """beta = (1 + alpha_{p-1})/(1 + conj(alpha_{p-1})) of _candidates."""
-    a = alpha[-1]
-    return (1.0 + a) / (1.0 + a.conjugate())
-
-
-def _candidate_matrix(alpha) -> np.ndarray:
-    """C of _candidates alone."""
-    return _cmv(alpha[:-1], _closure(alpha))
-
-
 def gap_candidates(alpha):
     """The p circle zeros of pi(z) = phi_p*(z) - phi_p(z), as (z, theta)
     tuples with thetas ascending in [0, 2 pi]; see _candidates."""
     alpha = _check_alpha(alpha)
-    thetas = _candidates(alpha, _candidate_matrix(alpha))[0]
+    thetas = _candidates(alpha, _matrices(alpha)[1])[0]
     return tuple(np.exp(1j * thetas).tolist()), tuple(thetas.tolist())
 
 
@@ -436,7 +424,7 @@ def pure_point_mass(alpha, w: complex) -> float | None:
     mass is the one full_spectrum reports there (see _candidates).
     """
     alpha = _check_alpha(alpha)
-    thetas, masses, _ = _candidates(alpha, _candidate_matrix(alpha))
+    thetas, masses, _ = _candidates(alpha, _matrices(alpha)[1])
     dist = np.abs(np.exp(1j * thetas) - complex(w))
     j = int(np.argmin(dist))
     bound = 64.0 * len(alpha) * _EPS
@@ -563,24 +551,23 @@ def _initial_panels(spectrum: PeriodicSpectrum):
     gap_side = np.mod(signs[:, None] * (edges[:, None] - cand[None, :]), TWO_PI)
     deltas = np.min(gap_side, axis=1)
     on_edge = np.minimum(deltas, TWO_PI - np.max(gap_side, axis=1)) <= limit
-    # the cuts root 2^j < top, j = 0, 1, ..., are exact: n of them in each row
-    graded = deltas > limit
-    root = np.sqrt(np.where(graded, deltas, np.inf))
-    # top / root < 2^e with e its binary exponent, so j < e
-    e = np.frexp(tops / root)[1]
-    cuts = np.ldexp(root[:, None], np.arange(e.max() + 1))
-    below = cuts < tops[:, None]
-    n = np.count_nonzero(below, axis=1)
-    # row k: 0, its n cuts, then top to the end; panels j = 0..n of each row
-    ends = np.column_stack((np.zeros_like(tops), np.where(below, cuts, tops[:, None]), tops))
-    panel = np.arange(ends.shape[1] - 1) <= n[:, None]
-    lo, hi = ends[:, :-1][panel], ends[:, 1:][panel]
-    count = n + 1
-    return (np.repeat(edges, count), np.repeat(signs, count), lo, hi,
-            np.repeat(on_edge, count) & (lo == 0.0))
+    panels = []
+    for edge, sign, top, delta, touch in zip(edges, signs, tops, deltas, on_edge):
+        cuts = [0.0]
+        if delta > limit:
+            u = math.sqrt(delta)
+            while u < top:
+                cuts.append(u)
+                u *= 2.0
+        cuts.append(top)
+        panels.extend(
+            (edge, sign, lo, hi, touch and lo == 0.0) for lo, hi in zip(cuts[:-1], cuts[1:])
+        )
+    edge, sign, lo, hi, touch = zip(*panels)
+    return np.array(edge), np.array(sign), np.array(lo), np.array(hi), np.array(touch)
 
 
-def _gk15(alpha, log_bound, edge, sign, lo, hi, on_edge):
+def _gk15(alpha, edge, sign, lo, hi, on_edge):
     """G7-K15 over each panel [lo, hi] of u: the integral, the rule's error
     estimate, the rounding estimate, and whether rounding limits the panel.
 
@@ -601,7 +588,7 @@ def _gk15(alpha, log_bound, edge, sign, lo, hi, on_edge):
     half = 0.5 * (hi - lo)
     u = mid[:, None] + half[:, None] * _GK_NODES
     t = (edge[:, None] + sign[:, None] * u * u).ravel()
-    delta, *entries, h = _floquet_entries(alpha, t, log_bound)
+    delta, *entries, h = _floquet_entries(alpha, t)
     q = _four_minus_delta_sq(delta, *entries)
     size = np.abs(h)
     root = np.sqrt(np.maximum(q, 0.0))
@@ -638,9 +625,8 @@ def _ac_integral(alpha, spectrum: PeriodicSpectrum) -> tuple[float, float]:
     """
     tol = _AC_TOL * TWO_PI
     cap = _PANELS_PER_HALF_BAND * 2 * spectrum.p
-    log_bound = _log_bound(alpha)
     edge, sign, lo, hi, on_edge = _initial_panels(spectrum)
-    val, err, rounding, limited = _gk15(alpha, log_bound, edge, sign, lo, hi, on_edge)
+    val, err, rounding, limited = _gk15(alpha, edge, sign, lo, hi, on_edge)
     while not float(np.sum(err)) <= tol:
         split = (err > tol / val.size) & ~limited
         n_split = int(np.count_nonzero(split))
@@ -663,7 +649,7 @@ def _ac_integral(alpha, spectrum: PeriodicSpectrum) -> tuple[float, float]:
             np.concatenate([mine[keep], theirs])
             for mine, theirs in zip(
                 (edge, sign, lo, hi, on_edge, val, err, rounding, limited),
-                halves + _gk15(alpha, log_bound, *halves),
+                halves + _gk15(alpha, *halves),
             )
         )
     return float(np.sum(val)), float(np.sum(err) + np.sum(rounding))
@@ -677,14 +663,9 @@ def full_spectrum(alpha) -> PeriodicSpectrum:
 
 
 def _spectrum(alpha) -> PeriodicSpectrum:
-    """full_spectrum of a checked alpha.  For even p, E(+1), E(-1) and C come
-    from one fill."""
+    """full_spectrum of a checked alpha, from the matrices of _matrices."""
     p = len(alpha)
-    if p % 2:
-        floquets, cmv = _edge_matrices(alpha), _candidate_matrix(alpha)
-    else:
-        stack = _floquet(alpha, (1.0, -1.0), _closure(alpha))
-        floquets, cmv = stack[:2], stack[2]
+    floquets, cmv = _matrices(alpha)
     thetas, masses, errors = _candidates(alpha, cmv)
     zs = np.exp(1j * thetas).tolist()
     thetas, errors = thetas.tolist(), errors.tolist()

@@ -74,7 +74,6 @@ def test_floquet_fill_matches_dense_product():
                 assert np.all(np.abs(got - dense_floquet(alpha, beta)) <= 2 * EPS)
 
 
-
 def test_stacked_fill_layers_match_the_wrappers_bit_for_bit():
     # E(+1), E(-1) and the candidate matrix of periodic come from one fill;
     # each layer must be the matrix the public builders give, to the bit
@@ -107,3 +106,14 @@ def test_builders_refuse_bad_input(build, alpha, beta, match):
         warnings.simplefilter("error")
         with pytest.raises(InvalidParameters, match=match):
             build(alpha, beta)
+
+
+@pytest.mark.parametrize("build, alpha", [
+    (cmv_matrix, (0.3, 0.2j, -0.1)),
+    (floquet_matrix, (0.3, 0.2j, -0.1, 0.5)),
+])
+def test_builders_take_alpha_as_they_check_it(build, alpha):
+    # the checks flatten alpha and make beta complex; the fill gets those
+    want = build(alpha, -1.0)
+    for given in (np.array([alpha]), list(alpha), np.array(alpha)):
+        assert build(given, -1).tobytes() == want.tobytes()

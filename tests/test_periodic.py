@@ -783,7 +783,7 @@ def test_full_spectrum_structure_on_random_blocks(data):
         held = [t for t in spec.candidate_thetas
                 if circle_offset(t, gap.lo - tol) <= gap.hi - gap.lo + 2 * tol]
         assert len(held) == 1, (gap, spec.candidate_thetas)
-    theta, sign = periodic._edges(alpha, periodic._edge_matrices(alpha))
+    theta, sign = periodic._edges(alpha, periodic._matrices(alpha)[0])
     want = reference_bands(p, theta.copy(), sign.copy())
     got = periodic.PeriodicSpectrum(p, *periodic._bands(p, theta, sign))
     assert repr(got) == repr(want)
