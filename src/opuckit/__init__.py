@@ -66,21 +66,17 @@ _EXPORTS = {
         "normalization_report",
         "parallel_lines_check",
         "pure_point_mass",
-        "transfer_matrix",
         "transfer_product",
     ),
     "polynomials": (
         "PolyCoeffs",
         "RQValues",
-        "SzegoState",
         "kappa_from_alpha",
         "q_coeffs",
         "r_coeffs",
         "rq_eval",
         "szego_coeffs",
-        "szego_eval",
         "w_eval",
-        "w_from_r_check",
     ),
     "transforms": ("UnfoldingData", "conjugate_pair", "rotate_alpha", "unfold_alternating"),
     "zeros": ("SupportGapReport", "ZeroSet", "support_gap_check", "w_zeros", "zero_ladder"),

@@ -25,13 +25,13 @@ U[:k+1, :k+1] with one line replaced, since conj(beta) = tau_k is the whole
 cut block Theta_k.  For odd k, Theta_k lies in M, and column k becomes
 L[:k+1, k] tau_k; for even k it lies in L, and row k becomes tau_k M[k, :k+1].
 Either line is tau_k (rho_{k-1}, -alpha_{k-1}) at k - 1, k and 0 elsewhere,
-which leaves two entries of the block to replace (cayley_level).
+which leaves two entries of the block to replace (_cayley_level).
 
 Both come from one Hermitian eigenproblem per level.  With V = -e^{-i phi} C
 and g = (1 + V)^{-1}, the Cayley transform H = i (1 - V)(1 + V)^{-1}
 = i (2 g - 1) is Hermitian with C's eigenvectors, and an eigenvalue
 e^{i theta} of C becomes h = tan(psi/2), psi = theta - phi - pi, so
-theta = phi - pi + 2 arctan(h) mod 2 pi (cayley_angles).  One inverse gives
+theta = phi - pi + 2 arctan(h) mod 2 pi (zeros._levels).  One inverse gives
 g, whose Hermitian part i (g - g^*) is H made exactly Hermitian; it goes to
 numpy.linalg.eigh (eigvalsh when no weight is needed), whose vectors are
 orthonormal to rounding, so the weights sum to one.  The pole e^{i phi} must
@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import InvalidParameters, _check_disc, _check_unimodular
 
-__all__ = ["cmv_matrix", "floquet_matrix", "cayley_level", "cayley_angles", "nearest_one"]
+__all__ = ["cmv_matrix", "floquet_matrix"]
 
 
 def _product(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -172,7 +172,7 @@ def floquet_matrix(alpha, beta: complex) -> np.ndarray:
     return _floquet(a, (_check_unimodular(beta, "beta"),))[0]
 
 
-def cayley_level(u: np.ndarray, k: int, a: complex, tau: complex, pole: float, vectors: bool = False):
+def _cayley_level(u: np.ndarray, k: int, a: complex, tau: complex, pole: float, vectors: bool = False):
     """Ascending eigenvalues h of the Hermitian Cayley transform, pole
     e^{i pole}, of level k: the leading (k+1)x(k+1) block of u, a CMV matrix
     of alpha_0..alpha_{n-1}, n >= k, with its line k set to
@@ -194,18 +194,3 @@ def cayley_level(u: np.ndarray, k: int, a: complex, tau: complex, pole: float, v
         x, q = np.linalg.eigh(h)
         return x, q[0]
     return np.linalg.eigvalsh(h), None
-
-
-def cayley_angles(h, pole):
-    """Angles in [0, 2 pi) of the eigenvalues h of a Cayley transform with
-    its pole at e^{i pole}."""
-    return np.mod(pole - math.pi + 2.0 * np.arctan(h), 2.0 * math.pi)
-
-
-def nearest_one(theta: np.ndarray, first, last):
-    """Index of the angle nearest z = 1 in each ascending run
-    theta[first..last] of angles in [0, 2 pi): the run's first or its last."""
-    ends = np.array([first, last])
-    near = np.minimum(theta[ends], 2.0 * math.pi - theta[ends])
-    return np.where(near[0] <= near[1], first, last)
-

@@ -75,7 +75,6 @@ __all__ = [
     "PurePoint",
     "PeriodicSpectrum",
     "PeriodicityReport",
-    "transfer_matrix",
     "transfer_product",
     "discriminant",
     "band_structure",
@@ -132,11 +131,6 @@ def transfer_product(alpha, z) -> np.ndarray:
     alpha = _check_alpha(alpha)
     z = complex(_check_finite(z, "z", complex))
     return np.array(_szego(alpha, z, np.array([1.0, 0.0]), np.array([0.0, 1.0])))
-
-
-def transfer_matrix(a: complex, z) -> np.ndarray:
-    """A(a, z) with the symmetric normalization; det = z."""
-    return transfer_product((a,), z)
 
 
 def _floquet_entries(alpha, t: np.ndarray):

@@ -3,7 +3,9 @@
 Three families share the data of a sequence pair (c_n, d_n) / its reflection
 coefficients alpha_n:
 
-  * monic Szego polynomials phi_n and reversed phi_n* on the circle,
+  * monic Szego polynomials phi_n and reversed phi_n* on the circle, as
+    coefficients only (szego_coeffs); their values come from the one value
+    loop of the Szego recurrence, periodic._szego,
   * the self-inversive family R_n and its companion Q_n,
         R_{n+1} = [(1 + i c_{n+1}) z + (1 - i c_{n+1})] R_n - 4 d_{n+1} z R_{n-1}
     with R_0 = 1, R_1 = (1 + i c_1) z + (1 - i c_1); Q_n obeys the same
@@ -32,20 +34,16 @@ from .bijection import SequencePair
 from .errors import InvalidParameters, NumericsError, _check_count, _check_disc, _check_finite
 
 __all__ = [
-    "SzegoState",
     "PolyCoeffs",
     "RQValues",
     "kappa_from_alpha",
-    "szego_eval",
     "szego_coeffs",
     "r_coeffs",
     "q_coeffs",
-    "eval_poly",
     "self_inversive_defect",
     "rq_eval",
     "w_eval",
     "w_eval_scaled",
-    "w_from_r_check",
 ]
 
 # rescale cadence/threshold of the value loop
@@ -72,33 +70,10 @@ def kappa_from_alpha(alpha) -> float:
     return math.exp(acc)
 
 
-@dataclass(frozen=True)
-class SzegoState:
-    """Values of the monic pair (phi_n, phi_n*) at given points."""
-
-    n: int
-    phi: np.ndarray
-    phi_star: np.ndarray
-
-
-def szego_eval(alpha, z) -> SzegoState:
-    """Run the coupled recurrence phi_n = z phi - conj(a) phi*, phi* = phi* - a z phi.
-
-    InvalidParameters names the first non-finite alpha or z."""
-    alpha = _check_finite(alpha, "alpha", complex)
-    z = _check_finite(z, "z", complex)
-    phi = np.ones_like(z)
-    star = np.ones_like(z)
-    for a in alpha:
-        zphi = z * phi
-        phi, star = zphi - np.conj(a) * star, star - a * zphi
-    return SzegoState(n=len(alpha), phi=phi, phi_star=star)
-
-
 def szego_coeffs(alpha) -> tuple[np.ndarray, np.ndarray]:
     """Ascending coefficient arrays of monic phi_n and phi_n*; InvalidParameters
-    names the first non-finite alpha."""
-    alpha = _check_finite(alpha, "alpha", complex)
+    names the first alpha of modulus >= 1 (or NaN)."""
+    alpha = _check_disc(alpha)
     phi = np.array([1.0 + 0.0j])
     star = np.array([1.0 + 0.0j])
     for a in alpha:
@@ -113,12 +88,8 @@ class PolyCoeffs:
     """Explicit ascending coefficients of one family member."""
 
     coeffs: np.ndarray
-    family: str  # "R" | "Q" | "W-cos"
+    family: str  # "R" | "Q"
     n: int
-
-
-def eval_poly(coeffs: np.ndarray, z):
-    return np.polynomial.polynomial.polyval(z, coeffs)
 
 
 def self_inversive_defect(coeffs: np.ndarray) -> float:
@@ -226,13 +197,3 @@ def w_eval(pair: SequencePair, n: int, x):
     if out.shape == ():
         return float(out)
     return out
-
-
-def w_from_r_check(pair: SequencePair, n: int, theta) -> float:
-    """Max residual of W_n(cos(theta/2)) against 2^{-n} e^{-i n theta/2} R_n."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    vals = rq_eval(pair, n, np.exp(1j * theta))
-    circle_side = vals.r * np.exp(-0.5j * n * theta) * math.ldexp(1.0, vals.exp2 - n)
-    wv, wexp = w_eval_scaled(pair, n, np.cos(0.5 * theta))
-    w_side = wv * math.ldexp(1.0, wexp)
-    return float(np.max(np.abs(circle_side - w_side)))

@@ -8,11 +8,11 @@ cmv): one eigenvalue is z = 1, the other k are the zeros of R_k.  The ladder
 factors one CMV matrix U = L M of alpha_0..alpha_{n-1} and takes level k as
 its leading (k+1)x(k+1) block with line k replaced: column k for odd k, row
 k for even k, tau_k (rho_{k-1}, -alpha_{k-1}) at k - 1, k.  Each level then
-costs one inverse and one eigvalsh of its Cayley transform (eigh for the
-weights of psi_n, see measure); the angles, the sort, the drop of the
-eigenvalue nearest z = 1, x = cos(theta/2) and the interlacing check of
-consecutive levels run once over all levels.  One pass of Sturm counts
-(below) places the pole of every level's Cayley transform.
+costs one inverse and one eigvalsh of its Cayley transform
+(cmv._cayley_level; eigh for the weights of psi_n, see measure); the angles,
+the sort, the drop of the eigenvalue nearest z = 1, x = cos(theta/2) and the
+interlacing check of consecutive levels run once over all levels.  One pass
+of Sturm counts (below) places the pole of every level's Cayley transform.
 
 support_gap_check tests the paper's zero-free interval on every level
 without the ladder: the three-term recurrence of W_n gives a Sturm sign
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bijection import SequencePair, _alpha_tau
-from .cmv import _cmv, cayley_angles, cayley_level, nearest_one
+from .cmv import _cayley_level, _cmv
 from .errors import GapViolated, HypothesisViolated, InternalInvariant, _check_count
 
 __all__ = ["ZeroSet", "SupportGapReport", "zero_ladder", "w_zeros", "support_gap_check"]
@@ -83,25 +83,30 @@ def _levels(pair: SequencePair, n: int, first: int, weights: bool = False):
     each level's angles ascending.  With weights, also the Gauss-Szego
     weights |Q[0, j]|^2 of those angles, then those of z = 1, one per level.
 
-    Each level is one cayley_level step on the slices of a single CMV matrix;
-    the angles, the sort and the drop of the eigenvalue nearest z = 1 then
-    run once over all levels.  The caller checks n.
+    Each level is one _cayley_level step on the slices of a single CMV
+    matrix; the angles theta = pole - pi + 2 arctan(h) mod 2 pi (see cmv),
+    the sort and the drop of the eigenvalue nearest z = 1, the first or the
+    last angle of its level, then run once over all levels.  The caller
+    checks n.
     """
     alpha, tau = _alpha_tau(pair.c[:n], pair.m[1 : n + 1])
     u = _cmv(alpha, tau[n].conjugate())
     poles = _poles(pair, n)[first - 1 :]
     levels = np.arange(first, n + 1)
     h, q = zip(*[
-        cayley_level(u, k, alpha[k - 1], tau[k], pole, weights)
+        _cayley_level(u, k, alpha[k - 1], tau[k], pole, weights)
         for k, pole in zip(levels.tolist(), poles.tolist())
     ])
     size = levels + 1
     level = np.repeat(levels, size)
-    theta = cayley_angles(np.concatenate(h), np.repeat(poles, size))
+    theta = np.repeat(poles, size) - math.pi + 2.0 * np.arctan(np.concatenate(h))
+    theta = np.mod(theta, 2.0 * math.pi)
     order = np.lexsort((theta, level))
     theta = theta[order]
     last = np.cumsum(size) - 1
-    one = nearest_one(theta, last - levels, last)
+    ends = np.array([last - levels, last])
+    near = np.minimum(theta[ends], 2.0 * math.pi - theta[ends])
+    one = np.where(near[0] <= near[1], *ends)
     theta = np.delete(theta, one)
     x = np.cos(0.5 * theta)
     if not weights:

@@ -628,7 +628,9 @@ def test_import_leaves_scipy_solvers_unloaded():
 
 # after `import opuckit` no submodule body has run (a module whose body has
 # run is a plain module; reading .__class__ would run it), and pair2alpha runs
-# (its input in argv[1]) none of the modules it does not use
+# (its input in argv[1]) none of the modules it does not use; then every name
+# in the package's and each submodule's __all__ resolves, since a star import
+# fails on a name that is gone
 LAZY_PROBE = """
 import contextlib, io, pkgutil, sys, types
 import opuckit
@@ -649,6 +651,11 @@ star = {}
 exec("from opuckit import *", star)
 for name in opuckit.__all__:
     assert star[name] is getattr(opuckit, name) is not None, name
+for sub in subs + ["cli"]:
+    module, star = sys.modules["opuckit." + sub], {}
+    exec(f"from opuckit.{sub} import *", star)
+    for name in getattr(module, "__all__", ()):
+        assert star[name] is getattr(module, name), (sub, name)
 """
 
 

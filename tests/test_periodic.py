@@ -22,7 +22,6 @@ from opuckit import (
     normalization_report,
     parallel_lines_check,
     pure_point_mass,
-    transfer_matrix,
     transfer_product,
     verblunsky_to_pair,
 )
@@ -81,10 +80,14 @@ def assert_bands_match_discriminant(alpha, spec):
 
 
 def test_transfer_matrix_determinant():
-    for a, z in [(0.5, 1j), (0.3 - 0.4j, math.e**0.5j), (0.0, -1.0)]:
-        z = complex(z) / abs(complex(z))
-        A = transfer_matrix(a, z)
-        assert abs(np.linalg.det(A) - z) < 1e-14
+    # det A(a, z) = z, so det T_p = z^p
+    for alpha, z in [
+        ((0.5, -0.3j), 1j),
+        ((0.3 - 0.4j, 0.2, -0.6 + 0.1j), cmath.exp(0.5j)),
+        ((0.0, 0.7, 0.1j, -0.4), -1.0),
+    ]:
+        T = transfer_product(alpha, z)
+        assert abs(np.linalg.det(T) - z ** len(alpha)) < 1e-14
 
 
 def test_transfer_product_matches_matmul():
@@ -93,7 +96,8 @@ def test_transfer_product_matches_matmul():
     direct = transfer_product(alpha, z)
     manual = np.eye(2, dtype=complex)
     for a in alpha:
-        manual = transfer_matrix(a, z) @ manual
+        A = np.array([[z, -a.conjugate()], [-a * z, 1.0]]) / math.sqrt(1.0 - abs(a) ** 2)
+        manual = A @ manual
     assert np.max(np.abs(direct - manual)) < 1e-13
 
 
@@ -148,7 +152,7 @@ def test_transfer_product_rejects_non_finite_z(z):
 
 def test_transfer_matrix_rejects_modulus_one_or_more():
     with pytest.raises(InvalidParameters, match="modulus < 1"):
-        transfer_matrix(1.5, 1.0)
+        transfer_product((1.5,), 1.0)
 
 
 def test_band_structure_free_case():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from opuckit import (
     PeriodTwoParams,
@@ -18,13 +19,12 @@ from opuckit import (
     rq_eval,
     step_eval,
     szego_coeffs,
-    szego_eval,
     tau_from_c,
     w_eval,
-    w_from_r_check,
 )
 from opuckit.errors import InvalidParameters, NumericsError
-from opuckit.polynomials import eval_poly, self_inversive_defect, w_eval_scaled
+from opuckit.periodic import _szego
+from opuckit.polynomials import self_inversive_defect, w_eval_scaled
 from conftest import random_pair
 
 
@@ -82,7 +82,7 @@ def test_rq_eval_matches_coefficients(rng):
     for n in (1, 7, 15):
         vals = rq_eval(pair, n, z)
         scale = 2.0**vals.exp2
-        r_direct = eval_poly(r_coeffs(pair, n).coeffs, z)
+        r_direct = polyval(z, r_coeffs(pair, n).coeffs)
         assert np.max(np.abs(vals.r * scale - r_direct)) < 1e-9 * max(
             1.0, np.max(np.abs(r_direct))
         )
@@ -94,19 +94,13 @@ def test_w_matches_rescaled_circle_values(rng):
     pair = random_pair(rng, 12)
     theta = rng.uniform(0.0, 2.0 * math.pi, 9)
     for n in (1, 5, 12):
-        circle = eval_poly(r_coeffs(pair, n).coeffs, np.exp(1j * theta))
+        circle = polyval(np.exp(1j * theta), r_coeffs(pair, n).coeffs)
         circle = circle * np.exp(-0.5j * n * theta) / 2.0**n
         assert float(np.max(np.abs(circle.imag))) < 1e-12 * max(
             1.0, float(np.max(np.abs(circle)))
         )
         w = w_eval(pair, n, np.cos(0.5 * theta))
         assert np.max(np.abs(w - circle.real)) < 1e-11
-
-
-def test_w_from_r_check_small(rng):
-    pair = random_pair(rng, 25)
-    theta = rng.uniform(0.0, 2.0 * math.pi, 16)
-    assert w_from_r_check(pair, 25, theta) < 1e-10
 
 
 def test_w_level_one_zero():
@@ -161,20 +155,11 @@ def test_rq_eval_shared_exponent(theta):
 
 
 def test_szego_lebesgue():
-    z = np.exp(1j * np.linspace(0.3, 5.9, 7))
-    st = szego_eval([0.0, 0.0, 0.0], z)
-    assert np.allclose(st.phi, z**3, atol=1e-15)
-    assert np.allclose(st.phi_star, np.ones_like(z), atol=1e-15)
+    # alpha = 0 gives phi_n = z^n and phi_n* = 1
+    phi, star = szego_coeffs([0.0, 0.0, 0.0])
+    assert np.array_equal(phi, [0.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(star, [1.0, 0.0, 0.0, 0.0])
     assert kappa_from_alpha(()) == 1.0
-
-
-def test_szego_eval_past_kappa_overflow():
-    # kappa_600 of alpha = 0.97 passes the largest float; the monic values
-    # do not need it
-    with pytest.raises(NumericsError):
-        kappa_from_alpha([0.97] * 600)
-    st = szego_eval([0.97] * 600, 1.0)
-    assert np.isfinite(st.phi) and np.isfinite(st.phi_star)
 
 
 def test_szego_coeffs_match_values(rng):
@@ -182,9 +167,12 @@ def test_szego_coeffs_match_values(rng):
     alpha = tuple(a for a in alpha if abs(a) < 1.0)
     z = np.exp(1j * rng.uniform(0, 2 * math.pi, 6))
     phi_c, star_c = szego_coeffs(alpha)
-    st = szego_eval(alpha, z)
-    assert np.max(np.abs(eval_poly(phi_c, z) - st.phi)) < 1e-12
-    assert np.max(np.abs(eval_poly(star_c, z) - st.phi_star)) < 1e-12
+    # kappa_n times the monic pair is the orthonormal pair, which the value
+    # loop gives from the start (1, 1)
+    kappa = kappa_from_alpha(alpha)
+    phi, star = _szego(alpha, z, np.ones_like(z), np.ones_like(z))
+    assert np.max(np.abs(kappa * polyval(z, phi_c) - phi)) < 1e-12
+    assert np.max(np.abs(kappa * polyval(z, star_c) - star)) < 1e-12
     # the reversed family is the conjugate-reflected coefficient array
     assert np.max(np.abs(star_c - np.conj(phi_c[::-1]))) < 1e-14
 
@@ -205,6 +193,8 @@ def test_kappa_overflow_names_index():
 def test_kappa_rejects_coefficients_off_the_disk(bad):
     with pytest.raises(InvalidParameters, match=r"alpha\[1\]"):
         kappa_from_alpha([0.5, bad])
+    with pytest.raises(InvalidParameters, match=r"alpha\[1\] = .* must have modulus < 1"):
+        szego_coeffs([0.5, bad])
 
 
 def test_r_via_szego_prefactor(rng):
@@ -223,12 +213,11 @@ def test_r_via_szego_prefactor(rng):
             den *= 1.0 - u.real
         theta = rng.uniform(0.15, 2.0 * math.pi - 0.15, 10)
         z = np.exp(1j * theta)
-        st = szego_eval(vs.alpha, z)
-        rhs = (num / den) * (z * st.phi - vs.tau[n] * st.phi_star) / (z - 1.0)
-        lhs = eval_poly(r_coeffs(pair, n).coeffs, z)
+        phi_c, star_c = szego_coeffs(vs.alpha)
+        rhs = (num / den) * (z * polyval(z, phi_c) - vs.tau[n] * polyval(z, star_c)) / (z - 1.0)
+        lhs = polyval(z, r_coeffs(pair, n).coeffs)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * float(np.max(np.abs(lhs)))
-        at_one = szego_eval(vs.alpha, np.array([1.0 + 0.0j]))
-        tau_from_phi = complex(at_one.phi[0] / at_one.phi_star[0])
+        tau_from_phi = complex(polyval(1.0, phi_c) / polyval(1.0, star_c))
         assert abs(tau_from_phi - vs.tau[n]) < 1e-11
 
 
@@ -249,7 +238,6 @@ def test_degree_validation(rng):
     [
         (lambda bad: tau_from_c([0.1, bad]), r"c\[1\]"),
         (lambda bad: rq_eval(make_pair([0.0], d=[0.5]), 1, [0.5, bad]), r"z\[1\]"),
-        (lambda bad: szego_eval([0.2], bad), "z"),
         (lambda bad: szego_coeffs([0.2, bad]), r"alpha\[1\]"),
         (lambda bad: w_eval(make_pair([0.0], d=[0.5]), 1, [0.5, bad]), r"x\[1\]"),
         (lambda bad: step_eval(quadrature(make_pair([0.0], d=[0.5]), 1), bad), "theta"),
@@ -257,7 +245,7 @@ def test_degree_validation(rng):
         (lambda bad: family_discriminant(PeriodTwoParams(1.0, 0.3, 0.5), [1.0, bad]), r"theta\[1\]"),
     ],
     ids=[
-        "tau_from_c", "rq_eval", "szego_eval", "szego_coeffs", "w_eval", "step_eval",
+        "tau_from_c", "rq_eval", "szego_coeffs", "w_eval", "step_eval",
         "family_weight", "family_discriminant",
     ],
 )

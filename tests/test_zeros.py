@@ -86,7 +86,7 @@ def test_ladder_at_depth_200():
 
 def test_interlacing_breach_names_level_and_index(rng, monkeypatch):
     pair = random_pair(rng, 6)
-    real = zeros.cayley_level
+    real = zeros._cayley_level
 
     def shifted(u, k, a, tau, pole, vectors=False):
         h, first = real(u, k, a, tau, pole, vectors)
@@ -97,7 +97,7 @@ def test_interlacing_breach_names_level_and_index(rng, monkeypatch):
             h[(j + 3) % 5] = h[(j + 4) % 5]
         return h, first
 
-    monkeypatch.setattr(zeros, "cayley_level", shifted)
+    monkeypatch.setattr(zeros, "_cayley_level", shifted)
     with pytest.raises(InternalInvariant, match=r"levels 3 and 4 do not interlace at index \d"):
         zero_ladder(pair, 6)
 
