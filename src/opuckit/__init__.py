@@ -57,15 +57,12 @@ _EXPORTS = {
         "PeriodicityReport",
         "PurePoint",
         "ac_weight",
-        "band_structure",
         "discriminant",
         "full_spectrum",
-        "gap_candidates",
         "is_periodic_pair",
         "mass_series",
         "normalization_report",
         "parallel_lines_check",
-        "pure_point_mass",
         "transfer_product",
     ),
     "polynomials": (

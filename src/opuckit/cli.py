@@ -203,7 +203,7 @@ def cmd_weight(args):
         # midpoint samples of every band, less those that rounding puts off
         # the band (a band can be thinner than rounding), where ac_weight
         # would refuse them
-        bands = periodic.band_structure(alpha).bands
+        bands = periodic.full_spectrum(alpha).bands
         total = sum(b.hi - b.lo for b in bands)
         samples = []
         for b in bands:

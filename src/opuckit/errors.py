@@ -45,10 +45,6 @@ class HypothesisViolated(InputError):
     """A structural hypothesis (sign pattern, alternation, parity) fails."""
 
 
-class NotACandidate(InputError):
-    """Point-mass evaluation requested at a point with tau_p(w) != 1."""
-
-
 class OffBand(InputError):
     """Density evaluation requested outside the open bands (|Delta| >= 2)."""
 

@@ -62,7 +62,6 @@ from .errors import (
     InvalidParameters,
     NoConvergence,
     NonRealDiscriminant,
-    NotACandidate,
     OffBand,
     _check_count,
     _check_disc,
@@ -77,9 +76,6 @@ __all__ = [
     "PeriodicityReport",
     "transfer_product",
     "discriminant",
-    "band_structure",
-    "gap_candidates",
-    "pure_point_mass",
     "mass_series",
     "ac_weight",
     "full_spectrum",
@@ -231,10 +227,10 @@ class PeriodicSpectrum:
     minus_solutions: tuple[float, ...]
     bands: tuple[Band, ...]
     gaps: tuple[Gap, ...]
-    candidates: tuple[complex, ...] = ()
-    candidate_thetas: tuple[float, ...] = ()
-    pure_points: tuple[PurePoint, ...] = ()
-    point_error: float = 0.0  # the mass errors summed over all candidates
+    candidates: tuple[complex, ...]
+    candidate_thetas: tuple[float, ...]
+    pure_points: tuple[PurePoint, ...]
+    point_error: float  # the mass errors summed over all candidates
 
 
 def _edges(alpha, floquets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +269,9 @@ def _matrices(alpha) -> tuple[np.ndarray, np.ndarray]:
     return stack[:2], stack[2]
 
 
-def band_structure(alpha) -> PeriodicSpectrum:
-    """Locate all solutions of Delta = +-2 and assemble bands and gaps.
+def _bands(p: int, theta: np.ndarray, sign: np.ndarray):
+    """plus_solutions, minus_solutions, bands and gaps of PeriodicSpectrum
+    from the ascending edges of _edges, each field from arrays.
 
     Bands and gaps alternate, so the arcs from sorted edge i to i + 1,
     i = s, s + 2, ..., are the p bands, with s in {0, 1} the offset giving
@@ -288,15 +285,6 @@ def band_structure(alpha) -> PeriodicSpectrum:
     eigensolver's backward error 64 p eps: the Floquet matrices are normal,
     so a touching point is an exact double eigenvalue.
     """
-    alpha = _check_alpha(alpha)
-    p = len(alpha)
-    return PeriodicSpectrum(p, *_bands(p, *_edges(alpha, _matrices(alpha)[0])))
-
-
-def _bands(p: int, theta: np.ndarray, sign: np.ndarray):
-    """plus_solutions, minus_solutions, bands and gaps of PeriodicSpectrum
-    from the ascending edges of _edges (see band_structure), each field from
-    arrays."""
     ends = np.concatenate((theta, theta[:1] + TWO_PI))
     signs = np.concatenate((sign, sign[:1] * (-1) ** p))
     flips = signs[:-1] != signs[1:]
@@ -400,33 +388,7 @@ def _candidates(alpha, cmv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return theta[order], mass[order], (1.0 + k) * (tilt + 16.0 * p * _EPS)
 
 
-def gap_candidates(alpha):
-    """The p circle zeros of pi(z) = phi_p*(z) - phi_p(z), as (z, theta)
-    tuples with thetas ascending in [0, 2 pi]; see _candidates."""
-    alpha = _check_alpha(alpha)
-    thetas = _candidates(alpha, _matrices(alpha)[1])[0]
-    return tuple(np.exp(1j * thetas).tolist()), tuple(thetas.tolist())
-
-
 # ------------------ point masses ------------------ #
-
-
-def pure_point_mass(alpha, w: complex) -> float | None:
-    """Mass at the candidate nearest w, or None when it carries none.
-
-    w must be within 64 p eps of a candidate (NotACandidate otherwise); the
-    mass is the one full_spectrum reports there (see _candidates).
-    """
-    alpha = _check_alpha(alpha)
-    thetas, masses, _ = _candidates(alpha, _matrices(alpha)[1])
-    dist = np.abs(np.exp(1j * thetas) - complex(w))
-    j = int(np.argmin(dist))
-    bound = 64.0 * len(alpha) * _EPS
-    if not dist[j] <= bound:
-        raise NotACandidate(
-            f"w = {w!r} is {float(dist[j])!r} from the nearest candidate, above {bound!r}"
-        )
-    return float(masses[j]) if masses[j] > 0.0 else None
 
 
 def mass_series(alpha, w: complex, n_terms: int) -> float:
@@ -690,7 +652,7 @@ def normalization_report(alpha, spectrum: PeriodicSpectrum | None = None) -> dic
         raise InvalidParameters(
             f"spectrum of period {spectrum.p} given for alpha of period {len(alpha)}"
         )
-    if spectrum is None or not spectrum.candidates:
+    if spectrum is None:
         spectrum = _spectrum(alpha)
     ac, ac_err = (x / TWO_PI for x in _ac_integral(alpha, spectrum))
     point = sum((pp.mass for pp in spectrum.pure_points), 0.0)

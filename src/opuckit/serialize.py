@@ -164,7 +164,10 @@ def read_input_document(spec: str) -> dict:
         path = Path(spec)
         if not path.exists():
             raise InvalidParameters(f"input file {spec!r} does not exist")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidParameters(f"input file {spec!r} cannot be read: {exc}") from exc
     try:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer over 4300 digits

@@ -91,7 +91,7 @@ def _levels(pair: SequencePair, n: int, first: int, weights: bool = False):
     """
     alpha, tau = _alpha_tau(pair.c[:n], pair.m[1 : n + 1])
     u = _cmv(alpha, tau[n].conjugate())
-    poles = _poles(pair, n)[first - 1 :]
+    poles = _poles(pair, n, first)
     levels = np.arange(first, n + 1)
     h, q = zip(*[
         _cayley_level(u, k, alpha[k - 1], tau[k], pole, weights)
@@ -135,30 +135,32 @@ def _check_interlacing(x: np.ndarray, n: int) -> None:
         )
 
 
-def _poles(pair: SequencePair, n: int) -> np.ndarray:
-    """For each level k = 1..n, an angle at least pi/(4(n+1)) from every
+def _poles(pair: SequencePair, n: int, first: int) -> np.ndarray:
+    """For each level k = first..n, an angle at least pi/(4(n+1)) from every
     eigenvalue of its CMV matrix: the pole of its Cayley transform (cmv).
 
     One _sign_pattern pass over the G - 1 interior angles 2 pi j/G,
     G = 4(n+1), counts by a cumsum over levels N_k, the number of level-k
     zeros in (x, 1]: r_j(1) = 1 - m_j > 0, and by interlacing N_k - N_{k-1}
-    is 0 or 1.  The pole of level k is the centre of the longest run of grid
-    cells over which N_k does not change, leaving out the two cells next to
-    theta = 0, since z = 1 is an eigenvalue.  Each of the k <= n zeros
+    is 0 or 1; the levels below first enter only as N_{first-1}, one count
+    over their rows.  The pole of level k is the centre of the longest run
+    of grid cells over which N_k does not change, leaving out the two cells
+    next to theta = 0, since z = 1 is an eigenvalue.  Each of the k <= n zeros
     changes N_k over one cell, so runs exist, and a run of L cells keeps its
     centre L pi/G >= pi/(4(n+1)) from every eigenvalue.  The Cayley transform
     with that pole has ||H|| <= cot(pi/(8(n+1))), about 2.5 (n+1).
     """
     grid = 4 * (n + 1)
     theta = 2.0 * math.pi * np.arange(1, grid) / grid
-    counts = np.cumsum(_sign_pattern(np.asarray(pair.c[:n], dtype=float), pair.d[:n], theta), axis=0)
+    signs = _sign_pattern(np.asarray(pair.c[:n], dtype=float), pair.d[:n], theta)
+    counts = np.cumsum(signs[first - 1 :], axis=0) + np.count_nonzero(signs[: first - 1], axis=0)
     # cell j + 1 lies between theta[j] and theta[j + 1]; run[k, j] is the
-    # number of unchanged cells of level k + 1 that end with it
+    # number of unchanged cells of level first + k that end with it
     changed = counts[:, 1:] != counts[:, :-1]
     cells = np.arange(changed.shape[1])
     run = cells - np.maximum.accumulate(np.where(changed, cells, -1), axis=1)
     end = np.argmax(run, axis=1)
-    length = run[np.arange(n), end]
+    length = run[np.arange(run.shape[0]), end]
     return 2.0 * math.pi * (end + 2 - 0.5 * length) / grid
 
 

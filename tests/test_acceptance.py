@@ -14,7 +14,6 @@ import pytest
 
 from opuckit import (
     PeriodTwoParams,
-    band_structure,
     conjugate_pair,
     discriminant,
     family_alpha,
@@ -28,7 +27,6 @@ from opuckit import (
     normalization_report,
     pair_to_verblunsky,
     parallel_lines_check,
-    pure_point_mass,
     quadrature,
     moments,
     r_coeffs,
@@ -208,7 +206,7 @@ def test_criterion_05_discriminant_and_bands():
                         )
                     ),
                 )
-                spectrum = band_structure(alpha)
+                spectrum = full_spectrum(alpha)
                 assert len(spectrum.bands) == 2
                 # compare as points on the circle: a gap closing at angle 0
                 # may legitimately be reported on either side of the cut
@@ -238,19 +236,28 @@ def test_criterion_06_point_masses():
             for b2 in GRID_B:
                 params = PeriodTwoParams(c, b1, b2)
                 alpha = list(family_alpha(params))
+                spectrum = full_spectrum(alpha)
                 w2 = -(1.0 + 1j * c) / (1.0 - 1j * c)
                 cases = (
                     (1.0 + 0.0j, b1 + b2 > 1e-12, (b1 + b2) / (1.0 + b2)),
                     (w2, b2 - b1 > 1e-12, (b2 - b1) / (1.0 + b2)),
                 )
                 for w, exists, expected in cases:
-                    got = pure_point_mass(alpha, w)
+                    # w is one candidate, matched by angle, as is its mass
+                    theta = float(np.angle(w)) % TWO_PI
+                    near = [_circle_dist(t, theta) < 1e-12 for t in spectrum.candidate_thetas]
+                    assert sum(near) == 1, (params, w)
+                    masses = [
+                        pp.mass for pp in spectrum.pure_points
+                        if _circle_dist(pp.theta, theta) < 1e-12
+                    ]
                     if not exists:
-                        condition_faults += got is not None
+                        condition_faults += len(masses)
                         continue
-                    if got is None:
+                    if not masses:
                         condition_faults += 1
                         continue
+                    got = masses[0]
                     worst_mass = max(worst_mass, abs(got - expected))
                     worst_series = max(
                         worst_series, abs(mass_series(alpha, w, 4000) - got)

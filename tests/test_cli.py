@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import opuckit
-from opuckit import band_structure, make_pair, pair_to_verblunsky, selfcheck
+from opuckit import full_spectrum, make_pair, pair_to_verblunsky, selfcheck
 from opuckit.cli import main
 
 PAIR_TWO = '{"c": [0, 0], "d": [0.5, 0.25]}'
@@ -319,7 +319,7 @@ def test_weight_skips_bands_thinner_than_rounding(capsys):
     c = rng.uniform(-1.5, 1.5, 64)
     m = np.concatenate([[0.0], rng.uniform(0.1, 0.9, 64)])
     alpha = pair_to_verblunsky(make_pair(c, m=m)).alpha
-    assert min(b.hi - b.lo for b in band_structure(alpha).bands) < 1e-12
+    assert min(b.hi - b.lo for b in full_spectrum(alpha).bands) < 1e-12
     doc = run_json(capsys, ["weight", "--grid", "300", "--input", alpha_doc(alpha)])
     assert len(doc["w"]) > 300
     assert all(math.isfinite(v) and v > 0.0 for v in doc["w"])
@@ -420,9 +420,15 @@ def test_exit_2_both_families(capsys):
     assert code == 2
 
 
-def test_exit_2_missing_file(capsys):
-    code, _, err = run(capsys, ["zeros", "--input", "/nonexistent/path.json"])
-    assert code == 2
+def test_exit_2_missing_file(capsys, tmp_path):
+    # a directory, or a file that is not UTF-8, is refused as input as a
+    # missing path is
+    undecodable = tmp_path / "bytes.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    for path in ("/nonexistent/path.json", str(tmp_path), str(undecodable)):
+        code, _, err = run(capsys, ["zeros", "--input", path])
+        assert code == 2, path
+        assert error_type(err) == "InvalidParameters", path
 
 
 def test_exit_2_off_band(capsys):

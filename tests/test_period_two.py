@@ -9,7 +9,6 @@ import pytest
 from opuckit import (
     PeriodTwoParams,
     ac_weight,
-    band_structure,
     discriminant,
     family_alpha,
     family_band_edges,
@@ -22,7 +21,6 @@ from opuckit import (
     kappa_from_alpha,
     mass_series,
     pair_to_verblunsky,
-    pure_point_mass,
 )
 from opuckit.errors import InvalidParameters
 from opuckit.polynomials import szego_coeffs
@@ -100,7 +98,7 @@ def test_family_band_edges_shape():
 
 
 def test_family_edges_against_scanner():
-    spec = band_structure(family_alpha(REFERENCE))
+    spec = full_spectrum(family_alpha(REFERENCE))
     e = family_band_edges(REFERENCE)
     lo = sorted(b.lo % TWO_PI for b in spec.bands)
     hi = sorted(b.hi % TWO_PI for b in spec.bands)
@@ -153,22 +151,25 @@ def test_family_masses_conditions():
 
 def test_masses_against_general_machinery():
     alpha = family_alpha(REFERENCE)
+    points = full_spectrum(alpha).pure_points
+    assert len(points) == len(family_masses(REFERENCE))
     for mp in family_masses(REFERENCE):
-        got = pure_point_mass(alpha, mp.w)
-        assert got is not None
-        assert abs(got - mp.mass) < 1e-12
+        got = [pp.mass for pp in points if abs(pp.w - mp.w) < 1e-12]
+        assert len(got) == 1, mp
+        assert abs(got[0] - mp.mass) < 1e-12
         assert abs(mass_series(alpha, mp.w, 4000) - mp.mass) < 1e-8
 
 
 def test_massless_points_against_general_machinery():
     params = PeriodTwoParams(c=0.7, b1=-0.6, b2=-0.2)
-    alpha = family_alpha(params)
+    spec = full_spectrum(family_alpha(params))
     # b1 + b2 < 0: the candidate at z = 1 carries no mass
-    assert pure_point_mass(alpha, 1.0 + 0.0j) is None
+    assert any(abs(z - 1.0) < 1e-12 for z in spec.candidates)
     # b2 > b1: the rotated candidate does carry mass (0.4)/(0.8)
     w2 = -(1.0 + 0.7j) / (1.0 - 0.7j)
-    got = pure_point_mass(alpha, w2)
-    assert abs(got - 0.5) < 1e-12
+    [point] = spec.pure_points
+    assert abs(point.w - w2) < 1e-12
+    assert abs(point.mass - 0.5) < 1e-12
 
 
 def test_spectrum_pure_points_near_closed_form():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from opuckit import (
     ChainSequence,
     ac_weight,
-    band_structure,
     discriminant,
     full_spectrum,
     is_periodic_pair,
@@ -21,7 +20,6 @@ from opuckit import (
     maximal_parameters,
     normalization_report,
     parallel_lines_check,
-    pure_point_mass,
     transfer_product,
     verblunsky_to_pair,
 )
@@ -33,7 +31,6 @@ from opuckit.errors import (
     InvalidParameters,
     NoConvergence,
     NonRealDiscriminant,
-    NotACandidate,
     NumericsError,
     OffBand,
 )
@@ -156,7 +153,7 @@ def test_transfer_matrix_rejects_modulus_one_or_more():
 
 
 def test_band_structure_free_case():
-    spec = band_structure((0.0,))
+    spec = full_spectrum((0.0,))
     assert spec.p == 1
     assert len(spec.bands) == 1
     band = spec.bands[0]
@@ -167,7 +164,7 @@ def test_band_structure_free_case():
 
 def test_band_structure_single_real():
     # |Delta| <= 2 iff |cos(theta/2)| <= sqrt(3)/2, the arc [pi/3, 5 pi/3]
-    spec = band_structure((0.5,))
+    spec = full_spectrum((0.5,))
     band = spec.bands[0]
     assert abs(band.lo - math.pi / 3.0) < 1e-10
     assert abs(band.hi - 5.0 * math.pi / 3.0) < 1e-10
@@ -198,7 +195,9 @@ def test_full_spectrum_single_without_mass():
 
 
 def test_mass_series_agreement():
-    closed = pure_point_mass((0.5,), 1.0)
+    [point] = full_spectrum((0.5,)).pure_points
+    assert point.theta == 0.0
+    closed = point.mass
     series = mass_series((0.5,), 1.0, 4000)
     assert abs(closed - series) < 1e-10
 
@@ -213,12 +212,6 @@ def test_mass_series_rejects_non_finite_w(w):
 def test_mass_series_rejects_n_terms_below_one(n_terms):
     with pytest.raises(InvalidParameters, match="n_terms"):
         mass_series((0.5,), 1.0, n_terms)
-
-
-def test_not_a_candidate():
-    # tau_1(-1) = (-1 - 1/2)/(1 + 1/2) = -1, far from 1
-    with pytest.raises(NotACandidate):
-        pure_point_mass((0.5,), -1.0)
 
 
 def test_ac_weight_free_case():
@@ -239,11 +232,15 @@ def test_normalization_free_case():
     assert report["point_mass"] == 0.0
 
 
-@pytest.mark.parametrize("alpha", [(0.0,), (0.5,), (0.3 + 0.1j, -0.2 + 0.4j)])
+@pytest.mark.parametrize(
+    "alpha", [(0.0,), (0.5,), (0.3 + 0.1j, -0.2 + 0.4j), (0.3, 0.2j, -0.1)]
+)
 def test_normalization_report_values_are_floats(alpha):
-    # (0.0,) carries no mass at any candidate, so point_mass is an empty sum
+    # (0.0,) carries no mass at any candidate, so point_mass is an empty sum;
+    # without a spectrum the report computes the one full_spectrum gives
     report = normalization_report(alpha)
     assert {key: type(value) for key, value in report.items()} == dict.fromkeys(report, float)
+    assert repr(report) == repr(normalization_report(alpha, full_spectrum(alpha)))
 
 
 def test_normalization_single_with_mass():
@@ -270,7 +267,7 @@ def test_period_three_structure():
 
 def test_band_and_gap_angles_cover_circle():
     alpha = (0.3, 0.2j, -0.1)
-    spec = band_structure(alpha)
+    spec = full_spectrum(alpha)
     open_gaps = [g for g in spec.gaps if not g.closed]
     total = sum(b.hi - b.lo for b in spec.bands)
     total += sum(g.hi - g.lo for g in open_gaps)
@@ -283,7 +280,7 @@ def test_band_and_gap_angles_cover_circle():
 )
 def test_interior_closed_gaps(alpha, touching):
     # each touching point is a double eigenvalue of one Floquet matrix
-    spec = band_structure(alpha)
+    spec = full_spectrum(alpha)
     closed = [g for g in spec.gaps if g.closed]
     assert len(closed) == 2
     assert all(g.lo == g.hi for g in closed)
@@ -508,7 +505,7 @@ def test_discriminant_bound_at_period_32():
     # so the imaginary rounding must be measured against the entries
     alpha = alternating_alpha(np.random.default_rng(0), 32, 0.2, 1.5, 0.2, 0.8)
     discriminant(alpha, np.linspace(0.0, TWO_PI, 4096 * 32))
-    spec = band_structure(alpha)
+    spec = full_spectrum(alpha)
     assert_bands_match_discriminant(alpha, spec)
 
 
@@ -724,7 +721,8 @@ def test_normalization_report_refuses_a_spectrum_of_another_period():
 
 
 def reference_bands(p, theta, sign):
-    """The edge-by-edge assembly that _bands replaced, kept as it was."""
+    """The edge-by-edge assembly that _bands replaced, kept as it was: the
+    plus and minus solutions, bands and gaps, as _bands returns them."""
     ends = np.append(theta, theta[0] + TWO_PI)
     signs = np.append(sign, sign[0] * (-1) ** p)
     flips = signs[:-1] != signs[1:]
@@ -744,12 +742,11 @@ def reference_bands(p, theta, sign):
             gaps.append(periodic.Gap(lo=lo, hi=hi, closed=False))
     if p % 2 and s == 1:
         theta[0], sign[0] = ends[-1], signs[-1]
-    return periodic.PeriodicSpectrum(
-        p=p,
-        plus_solutions=tuple(sorted(float(t) for t in theta[sign > 0])),
-        minus_solutions=tuple(sorted(float(t) for t in theta[sign < 0])),
-        bands=tuple(sorted(bands, key=lambda b: b.lo)),
-        gaps=tuple(sorted(gaps, key=lambda g: g.lo)),
+    return (
+        tuple(sorted(float(t) for t in theta[sign > 0])),
+        tuple(sorted(float(t) for t in theta[sign < 0])),
+        tuple(sorted(bands, key=lambda b: b.lo)),
+        tuple(sorted(gaps, key=lambda g: g.lo)),
     )
 
 
@@ -789,5 +786,4 @@ def test_full_spectrum_structure_on_random_blocks(data):
         assert len(held) == 1, (gap, spec.candidate_thetas)
     theta, sign = periodic._edges(alpha, periodic._matrices(alpha)[0])
     want = reference_bands(p, theta.copy(), sign.copy())
-    got = periodic.PeriodicSpectrum(p, *periodic._bands(p, theta, sign))
-    assert repr(got) == repr(want)
+    assert repr(periodic._bands(p, theta, sign)) == repr(want)

@@ -123,12 +123,15 @@ def test_ladder_validation(rng):
 
 
 def test_w_zeros_is_top_of_ladder(rng):
-    # w_zeros solves level n alone; it must agree bit for bit with the ladder
-    pair = random_pair(rng, 40)
-    top = zero_ladder(pair, 40)[-1]
-    zs = w_zeros(pair, 40)
-    assert zs.n == top.n == 40
-    assert np.array_equal(zs.x, top.x) and np.array_equal(zs.theta, top.theta)
+    # w_zeros solves level n alone, with the Sturm counts of that level only;
+    # it must agree bit for bit with the ladder
+    for n in (1, 2, 7, 40, 120):
+        for _ in range(3):
+            pair = random_pair(rng, n)
+            top = zero_ladder(pair, n)[-1]
+            zs = w_zeros(pair, n)
+            assert zs.n == top.n == n
+            assert np.array_equal(zs.x, top.x) and np.array_equal(zs.theta, top.theta)
 
 
 @settings(max_examples=20, deadline=None)
